@@ -49,7 +49,6 @@ from .model import (
     Instance,
     InstanceError,
     Job,
-    MachineState,
     ModelError,
     Plan,
     PlanError,
@@ -58,7 +57,6 @@ from .model import (
     StageRecord,
     StageSpec,
     evaluate_schedule,
-    execution_time,
     format_decimal,
     format_scalar,
     parse_scalar,
@@ -82,7 +80,6 @@ __all__ = [
     "InstanceError",
     "Job",
     "LimitsExceeded",
-    "MachineState",
     "ModelError",
     "OptResult",
     "Plan",
@@ -101,7 +98,6 @@ __all__ = [
     "check_multistage_chain",
     "check_release_premise",
     "evaluate_schedule",
-    "execution_time",
     "format_decimal",
     "format_scalar",
     "gen_appendix_example",

@@ -64,12 +64,12 @@ def _read_instance(path: str | None) -> Instance:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
         return Instance.from_json(json.loads(raw))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"invalid instance JSON: {exc}") from exc
     except OSError as exc:
         raise CliError(f"cannot read instance: {exc}") from exc
     except ModelError as exc:
         raise CliError(f"invalid instance: {exc}") from exc
+    except ValueError as exc:  # malformed JSON, or an integer literal too long to convert
+        raise CliError(f"invalid instance JSON: {exc}") from exc
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -85,14 +85,7 @@ def _write_output(text: str, path: str | None) -> None:
 def _parse_limits(spec: str | None) -> SearchLimits:
     if not spec:
         return DEFAULT_LIMITS
-    fields = {
-        "max_jobs": int,
-        "max_jobs_multistage": int,
-        "max_stages": int,
-        "max_machines": int,
-        "node_budget": int,
-        "time_budget": float,
-    }
+    fields = DEFAULT_LIMITS.__dict__
     values: dict = {}
     for part in spec.split(","):
         if not part.strip():
@@ -105,9 +98,11 @@ def _parse_limits(spec: str | None) -> SearchLimits:
         if key not in fields:
             raise CliError(f"unknown limit {key!r}; known: {', '.join(fields)}")
         try:
-            values[key] = fields[key](raw.strip())
+            values[key] = int(raw.strip())
         except ValueError as exc:
             raise CliError(f"bad value for limit {key}: {raw!r}") from exc
+        if values[key] < 1:
+            raise CliError(f"limit {key} must be >= 1, got {raw.strip()!r}")
     return SearchLimits(**{**DEFAULT_LIMITS.__dict__, **values})
 
 
@@ -205,7 +200,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             with open(args.plan, "r", encoding="utf-8") as fh:
                 plan = plan_from_json(json.load(fh))
             trace = evaluate_schedule(instance, plan)
-        except (OSError, json.JSONDecodeError, ModelError) as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(f"cannot replay plan: {exc}") from exc
         events_json: list[dict] | None = None
     else:
@@ -307,7 +302,7 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
         try:
             with open(args.plan, "r", encoding="utf-8") as fh:
                 trace = evaluate_schedule(instance, plan_from_json(json.load(fh)))
-        except (OSError, json.JSONDecodeError, ModelError) as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(f"cannot replay plan: {exc}") from exc
     else:
         trace, _ = greedy_schedule(instance)
@@ -463,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("simulate", help="run greedy play (or replay a plan) and emit the trace")
-    p.add_argument("--policy", choices=("greedy",), default="greedy")
     p.add_argument("--plan", default=None, help="replay this plan JSON instead of greedy play")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(p)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .exact import DEFAULT_LIMITS, LimitsExceeded, SearchLimits
 from .greedy import greedy_schedule
-from .model import Instance, Plan, Scalar, ScheduleTrace, evaluate_schedule
+from .model import Instance, Plan, Scalar, ScheduleTrace, evaluate_schedule, queues_to_plan, time_grid
 
 __all__ = [
     "DEFER",
@@ -94,12 +94,13 @@ class EquilibriumResult:
     greedy_is_spne_outcome: bool
 
 
-# Solver state, all hashable:
-#   machines: per stage, tuple of each machine's available-at time
-#   jobs:     per job, ("p", next_stage, release) while pending or ("d", final)
+# Solver state, all hashable ints on the instance's time grid:
+#   machines: per stage, tuple of each machine's available-at tick
+#   jobs:     per job, (next_stage, release tick) while pending and
+#             (k, final completion tick) once done
 #   batch:    decision queue of the current tied group (job ids, front decides)
 #   defers:   defer counts aligned with batch
-_State = tuple[tuple[tuple[Scalar, ...], ...], tuple[tuple, ...], tuple[int, ...], tuple[int, ...]]
+_State = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]
 
 
 class _GameSolver:
@@ -107,17 +108,17 @@ class _GameSolver:
         self.instance = instance
         self.model = model
         self.k = instance.k
-        self.exec = [
-            [job.size / s.speed for s in instance.stages] for job in instance.jobs
-        ]
-        self.memo: dict[_State, tuple[tuple[Scalar, ...], Action]] = {}
+        self.scale, self.exec = time_grid(instance.sizes(), [s.speed for s in instance.stages])
+        self.memo: dict[_State, tuple[tuple[int, ...], Action]] = {}
         self.nodes = 0
         self.node_budget = limits.node_budget
 
+    def time(self, tick: int) -> Scalar:
+        return Fraction(tick, self.scale)
+
     def initial_state(self) -> _State:
-        machines = tuple(tuple(Fraction(0) for _ in range(s.machines)) for s in self.instance.stages)
-        jobs = tuple(("p", 0, Fraction(0)) for _ in range(self.instance.n))
-        return (machines, jobs, (), ())
+        machines = tuple((0,) * s.machines for s in self.instance.stages)
+        return (machines, ((0, 0),) * self.instance.n, (), ())
 
     def with_batch(self, state: _State) -> _State:
         """Materialize the next decision batch when the current one is spent.
@@ -129,7 +130,7 @@ class _GameSolver:
         machines, jobs, batch, defers = state
         if batch:
             return state
-        pending = [(entry[2], entry[1], j) for j, entry in enumerate(jobs) if entry[0] == "p"]
+        pending = [(release, stage, j) for j, (stage, release) in enumerate(jobs) if stage < self.k]
         if not pending:
             return state
         release, stage, _ = min(pending)
@@ -139,7 +140,7 @@ class _GameSolver:
     def actions(self, state: _State) -> tuple[Action, ...]:
         machines, jobs, batch, defers = state
         j = batch[0]
-        stage = jobs[j][1]
+        stage = jobs[j][0]
         acts: list[Action] = list(range(len(machines[stage])))
         if self.model.allow_defer and len(batch) >= 2:
             cap = len(batch) - 1
@@ -152,26 +153,21 @@ class _GameSolver:
     def apply(self, state: _State, action: Action) -> _State:
         machines, jobs, batch, defers = state
         j = batch[0]
-        _, stage, release = jobs[j]
+        stage, release = jobs[j]
         if action == DEFER:
             new_batch = (batch[1], batch[0]) + batch[2:]
             new_defers = (defers[1], defers[0] + 1) + defers[2:]
             return (machines, jobs, new_batch, new_defers)
         avail = machines[stage][action]
-        start = release if release > avail else avail
-        completion = start + self.exec[j][stage]
+        completion = (release if release > avail else avail) + self.exec[j][stage]
         stage_machines = list(machines[stage])
         stage_machines[action] = completion
         new_machines = machines[:stage] + (tuple(stage_machines),) + machines[stage + 1 :]
-        if stage + 1 == self.k:
-            entry: tuple = ("d", completion)
-        else:
-            entry = ("p", stage + 1, completion)
-        new_jobs = jobs[:j] + (entry,) + jobs[j + 1 :]
+        new_jobs = jobs[:j] + ((stage + 1, completion),) + jobs[j + 1 :]
         return (new_machines, new_jobs, batch[1:], defers[1:])
 
-    def value(self, state: _State) -> tuple[Scalar, ...]:
-        """Final completion vector under optimal play from `state` on.
+    def value(self, state: _State) -> tuple[int, ...]:
+        """Final completion ticks under optimal play from `state` on.
 
         The decider minimizes its own final completion; ties prefer machine
         actions in index order, defer last.
@@ -179,7 +175,7 @@ class _GameSolver:
         state = self.with_batch(state)
         machines, jobs, batch, defers = state
         if not batch:
-            return tuple(entry[1] for entry in jobs)
+            return tuple(final for _, final in jobs)
         hit = self.memo.get(state)
         if hit is not None:
             return hit[0]
@@ -187,7 +183,7 @@ class _GameSolver:
         if self.nodes > self.node_budget:
             raise LimitsExceeded(f"game tree exceeded the node budget of {self.node_budget}")
         j = batch[0]
-        best_vec: tuple[Scalar, ...] | None = None
+        best_vec: tuple[int, ...] | None = None
         best_action: Action = 0
         for action in self.actions(state):
             vec = self.value(self.apply(state, action))
@@ -205,19 +201,19 @@ class _GameSolver:
         return self.memo[state][1]
 
     def greedy_action(self, state: _State) -> int:
-        """The least-loaded, lowest-index machine for the current decider."""
+        """The least-loaded, lowest-index machine for the current decider.
+
+        One speed per stage, so the least load is the earliest available-at.
+        """
         machines, jobs, batch, _ = state
-        j = batch[0]
-        stage = jobs[j][1]
-        speed = self.instance.stages[stage].speed
-        loads = [speed * avail for avail in machines[stage]]
-        return min(range(len(loads)), key=lambda a: (loads[a], a))
+        available = machines[jobs[batch[0]][0]]
+        return available.index(min(available))
 
     def node_view(self, state: _State) -> GameNode:
         machines, jobs, batch, _ = state
         j = batch[0]
-        _, stage, release = jobs[j]
-        return GameNode(j, stage, release, batch, self.actions(state))
+        stage, release = jobs[j]
+        return GameNode(j, stage, self.time(release), batch, self.actions(state))
 
 
 def _check_limits(instance: Instance, limits: SearchLimits) -> None:
@@ -232,19 +228,15 @@ def _check_limits(instance: Instance, limits: SearchLimits) -> None:
 
 def _equilibrium_plan(solver: _GameSolver) -> Plan:
     """Replay the solved equilibrium path into an evaluable plan."""
-    instance = solver.instance
-    positions = [[0] * s.machines for s in instance.stages]
-    entries: list[list[tuple[int, int] | None]] = [[None] * instance.n for _ in range(instance.k)]
+    queues = [[[] for _ in range(s.machines)] for s in solver.instance.stages]
     state = solver.with_batch(solver.initial_state())
     while state[2]:
         action = solver.chosen_action(state)
         if action != DEFER:
             j = state[2][0]
-            stage = state[1][j][1]
-            entries[stage][j] = (action, positions[stage][action])
-            positions[stage][action] += 1
+            queues[state[1][j][0]][action].append(j)
         state = solver.with_batch(solver.apply(state, action))
-    return tuple(tuple(stage) for stage in entries)  # type: ignore[arg-type]
+    return queues_to_plan(queues)
 
 
 def spne_solve(
@@ -262,7 +254,7 @@ def spne_solve(
     limits = limits or DEFAULT_LIMITS
     _check_limits(instance, limits)
     solver = _GameSolver(instance, model, limits)
-    finals = solver.value(solver.initial_state())
+    finals = tuple(solver.time(t) for t in solver.value(solver.initial_state()))
     plan = _equilibrium_plan(solver)
     trace = evaluate_schedule(instance, plan)
     greedy_trace, _ = greedy_schedule(instance)
@@ -301,7 +293,7 @@ def check_greedy_spne(
         greedy_act = solver.greedy_action(state)
         j = state[2][0]
         greedy_value = solver.value(solver.apply(state, greedy_act))[j]
-        best_alt: tuple[Scalar, Action] | None = None
+        best_alt: tuple[int, Action] | None = None
         for action in solver.actions(state):
             if action == greedy_act:
                 continue
@@ -310,7 +302,14 @@ def check_greedy_spne(
                 best_alt = (value, action)
         if best_alt is not None and best_alt[0] < greedy_value:
             deviations.append(
-                Deviation(index, solver.node_view(state), greedy_act, greedy_value, best_alt[1], best_alt[0])
+                Deviation(
+                    index,
+                    solver.node_view(state),
+                    greedy_act,
+                    solver.time(greedy_value),
+                    best_alt[1],
+                    solver.time(best_alt[0]),
+                )
             )
         state = solver.with_batch(solver.apply(state, greedy_act))
         index += 1
@@ -336,6 +335,6 @@ def verify_deviation(
         state = solver.with_batch(solver.apply(state, solver.greedy_action(state)))
     if not state[2] or state[2][0] != deviation.node.job:
         return False
-    greedy_value = solver.value(solver.apply(state, solver.greedy_action(state)))[deviation.node.job]
-    value = solver.value(solver.apply(state, deviation.action))[deviation.node.job]
+    greedy_value = solver.time(solver.value(solver.apply(state, solver.greedy_action(state)))[deviation.node.job])
+    value = solver.time(solver.value(solver.apply(state, deviation.action))[deviation.node.job])
     return value == deviation.value and greedy_value == deviation.greedy_value and value < greedy_value

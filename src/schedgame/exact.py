@@ -9,12 +9,11 @@ optimum or refuses; it never silently approximates.
 from __future__ import annotations
 
 import math
-import time as _time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .greedy import greedy_schedule
-from .model import Instance, Job, Plan, Scalar, ScheduleTrace
+from .model import Instance, Job, Plan, Queues, Scalar, queues_to_plan, time_grid, trace_queues
 
 __all__ = [
     "SearchLimits",
@@ -43,7 +42,6 @@ class SearchLimits:
     max_stages: int = 3
     max_machines: int = 3
     node_budget: int = 5_000_000
-    time_budget: float = 120.0
 
 
 DEFAULT_LIMITS = SearchLimits()
@@ -93,34 +91,15 @@ def opt_lower_bounds(instance: Instance) -> tuple[Scalar, Scalar]:
     return path, total / rate
 
 
-def _frac_ceil(value: Fraction) -> int:
-    return -((-value.numerator) // value.denominator)
-
-
-def _plan_from_trace(trace: ScheduleTrace) -> Plan:
-    """Recover the (machine, position) plan realized by a trace."""
-    stages = []
-    for i in range(trace.k):
-        per_machine: dict[int, list[tuple[Scalar, int]]] = {}
-        for j in range(trace.n):
-            rec = trace.records[j][i]
-            per_machine.setdefault(rec.machine, []).append((rec.start, j))
-        entry: list[tuple[int, int]] = [(0, 0)] * trace.n
-        for machine, queue in per_machine.items():
-            for position, (_, j) in enumerate(sorted(queue)):
-                entry[j] = (machine, position)
-        stages.append(tuple(entry))
-    return tuple(stages)
-
-
-def _heuristic_plan(instance: Instance) -> tuple[Scalar, Plan]:
+def _heuristic_plan(instance: Instance) -> tuple[Scalar, Queues]:
     """Best of a few greedy passes (priority order, sizes descending/ascending).
 
-    Plans are order-free, so a plan extracted from a reordered instance's
-    greedy trace evaluates identically on the original instance.
+    Queues are order-free: relabelling a reordered instance's greedy queues
+    back through `order` gives a plan that evaluates identically on the
+    original instance. Returns the makespan and those queues.
     """
     n = instance.n
-    best: tuple[Scalar, Plan] | None = None
+    best: tuple[Scalar, Queues] | None = None
     orders = [
         list(range(n)),
         sorted(range(n), key=lambda j: (-instance.jobs[j].size, j)),
@@ -129,13 +108,11 @@ def _heuristic_plan(instance: Instance) -> tuple[Scalar, Plan]:
     for order in orders:
         jobs = tuple(Job(pos, instance.jobs[j].size) for pos, j in enumerate(order))
         trace, _ = greedy_schedule(Instance(jobs, instance.stages))
-        reordered = _plan_from_trace(trace)
-        position_of = {j: pos for pos, j in enumerate(order)}
-        plan = tuple(
-            tuple(stage[position_of[j]] for j in range(n)) for stage in reordered
-        )
         if best is None or trace.makespan < best[0]:
-            best = (trace.makespan, plan)
+            queues = tuple(
+                tuple(tuple(order[pos] for pos in queue) for queue in stage) for stage in trace_queues(trace)
+            )
+            best = (trace.makespan, queues)
     assert best is not None
     return best
 
@@ -151,9 +128,9 @@ def optimal_makespan(instance: Instance, limits: SearchLimits | None = None) -> 
     limits = limits or DEFAULT_LIMITS
     path, bottleneck = opt_lower_bounds(instance)
     analytic_lb = max(path, bottleneck)
-    ub, ub_plan = _heuristic_plan(instance)
+    ub, ub_queues = _heuristic_plan(instance)
     if ub == analytic_lb:
-        return OptResult(ub, ub_plan, "exact", ub, 0)
+        return OptResult(ub, queues_to_plan(ub_queues), "exact", ub, 0)
     n, k = instance.n, instance.k
     job_cap = limits.max_jobs if k == 1 else min(limits.max_jobs, limits.max_jobs_multistage)
     if n > job_cap:
@@ -163,7 +140,7 @@ def optimal_makespan(instance: Instance, limits: SearchLimits | None = None) -> 
     worst_m = max(s.machines for s in instance.stages)
     if worst_m > limits.max_machines:
         raise LimitsExceeded(f"{worst_m} machines in a stage exceeds the cap of {limits.max_machines}")
-    return _PlanSearch(instance, limits, ub, ub_plan, analytic_lb).run()
+    return _PlanSearch(instance, limits, ub, ub_queues, analytic_lb).run()
 
 
 def _dominated(vec: tuple[int, ...], archive: list[tuple[int, ...]]) -> bool:
@@ -174,44 +151,32 @@ def _dominated(vec: tuple[int, ...], archive: list[tuple[int, ...]]) -> bool:
 
 
 class _PlanSearch:
-    """Depth-first search over stage plans on an exact integer time grid.
-
-    All execution times are rescaled by the lcm of their denominators so the
-    entire search runs on Python ints; every reachable trace time lives on
-    that grid, so the rescaling is exact, not a rounding.
-    """
+    """Depth-first search over stage plans on the instance's integer time grid."""
 
     def __init__(
         self,
         instance: Instance,
         limits: SearchLimits,
         ub: Scalar,
-        ub_plan: Plan,
+        ub_queues: Queues,
         analytic_lb: Scalar,
     ) -> None:
-        self.instance = instance
         self.n = instance.n
         self.k = instance.k
         self.machines = tuple(s.machines for s in instance.stages)
-        exec_frac = [[job.size / s.speed for s in instance.stages] for job in instance.jobs]
-        scale = 1
-        for row in exec_frac:
-            for v in row:
-                scale = math.lcm(scale, v.denominator)
-        self.scale = scale
-        self.exec_int = [[int(v * scale) for v in row] for row in exec_frac]
+        self.scale, self.exec_int = time_grid(instance.sizes(), [s.speed for s in instance.stages])
         # rempath[j][i] = total execution still ahead of job j from stage i on
         self.rempath = [[0] * (self.k + 1) for _ in range(self.n)]
         for j in range(self.n):
             for i in range(self.k - 1, -1, -1):
                 self.rempath[j][i] = self.rempath[j][i + 1] + self.exec_int[j][i]
         self.stage_total = [sum(self.exec_int[j][i] for j in range(self.n)) for i in range(self.k)]
-        ub_scaled = ub * scale
+        ub_scaled = ub * self.scale
         assert ub_scaled.denominator == 1, "heuristic plan off the exact time grid"
         self.best = int(ub_scaled)
-        self.best_seqs = self._plan_to_seqs(ub_plan)
+        self.best_seqs = ub_queues
         self.analytic_lb = analytic_lb
-        self.target = _frac_ceil(analytic_lb * scale)
+        self.target = math.ceil(analytic_lb * self.scale)
         # equal-size jobs are interchangeable; canonicalize their stage-0 slots
         self.equal_pred_mask = [0] * self.n
         for j in range(self.n):
@@ -221,7 +186,6 @@ class _PlanSearch:
         self.archives: list[list[tuple[int, ...]]] = [[] for _ in range(self.k)]
         self.nodes = 0
         self.node_budget = limits.node_budget
-        self.deadline = _time.monotonic() + limits.time_budget
 
     def run(self) -> OptResult:
         status = "exact"
@@ -234,33 +198,11 @@ class _PlanSearch:
                 status = "budget-exhausted"
         makespan = Fraction(self.best, self.scale)
         lower = makespan if status == "exact" else self.analytic_lb
-        plan = self._seqs_to_plan(self.best_seqs)
-        return OptResult(makespan, plan, status, lower, self.nodes)
-
-    def _plan_to_seqs(self, plan: Plan) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        out = []
-        for i, stage in enumerate(plan):
-            queues: list[list[tuple[int, int]]] = [[] for _ in range(self.machines[i])]
-            for j, (machine, position) in enumerate(stage):
-                queues[machine].append((position, j))
-            out.append(tuple(tuple(j for _, j in sorted(q)) for q in queues))
-        return tuple(out)
-
-    def _seqs_to_plan(self, seqs: tuple[tuple[tuple[int, ...], ...], ...]) -> Plan:
-        out = []
-        for stage in seqs:
-            entry: list[tuple[int, int]] = [(0, 0)] * self.n
-            for machine, queue in enumerate(stage):
-                for position, j in enumerate(queue):
-                    entry[j] = (machine, position)
-            out.append(tuple(entry))
-        return tuple(out)
+        return OptResult(makespan, queues_to_plan(self.best_seqs), status, lower, self.nodes)
 
     def _tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.node_budget:
-            raise _Budget
-        if (self.nodes & 0xFFF) == 0 and _time.monotonic() > self.deadline:
             raise _Budget
 
     def _vector_lb(self, boundary: int, comps: tuple[int, ...]) -> int:
@@ -415,85 +357,66 @@ def single_stage_optimal(
     if s <= 0:
         raise ValueError("speed must be positive")
     n = len(jobs)
-    sizes = [job.size for job in jobs]
-    total = sum(sizes, Fraction(0))
-    p_max = max(sizes)
-    lb_load = max(p_max, total / m)
-    order = sorted(range(n), key=lambda j: (-sizes[j], j))
-    loads: list[Fraction] = [Fraction(0)] * m
-    assign = [0] * n
+    scale, ticks = time_grid([job.size for job in jobs], [s])
+    times = [row[0] for row in ticks]
+    lb = max(Fraction(max(times)), Fraction(sum(times), m))
+    order = sorted(range(n), key=lambda j: (-times[j], j))
+    loads = [0] * m
+    best_assign = [0] * n
     for j in order:
-        alpha = min(range(m), key=lambda a: (loads[a], a))
-        assign[j] = alpha
-        loads[alpha] += sizes[j]
-    ub_load = max(loads)
-    if ub_load == lb_load:
-        return OptResult(ub_load / s, _partition_plan(assign, n), "exact", ub_load / s, 0)
-    if n > limits.max_jobs:
-        raise LimitsExceeded(f"{n} jobs exceeds the solver cap of {limits.max_jobs}")
-
-    scale = 1
-    for v in sizes:
-        scale = math.lcm(scale, v.denominator)
-    int_sizes = [int(sizes[j] * scale) for j in range(n)]
-    ordered_sizes = [int_sizes[j] for j in order]
-    target = _frac_ceil(lb_load * scale)
-    best = int(ub_load * scale)
-    best_assign = list(assign)
-    node_budget = limits.node_budget
-    deadline = _time.monotonic() + limits.time_budget
+        alpha = loads.index(min(loads))
+        best_assign[j] = alpha
+        loads[alpha] += times[j]
+    best = max(loads)
     nodes = 0
-    cur: list[int] = [0] * m
-    cur_assign = [0] * n
     status = "exact"
+    if best > lb:
+        if n > limits.max_jobs:
+            raise LimitsExceeded(f"{n} jobs exceeds the solver cap of {limits.max_jobs}")
+        ordered_times = [times[j] for j in order]
+        target = math.ceil(lb)
+        node_budget = limits.node_budget
+        cur: list[int] = [0] * m
+        cur_assign = [0] * n
 
-    def dfs(idx: int, cur_max: int) -> None:
-        nonlocal best, best_assign, nodes
-        nodes += 1
-        if nodes > node_budget or ((nodes & 0xFFF) == 0 and _time.monotonic() > deadline):
-            raise _Budget
-        if idx == n:
-            best = cur_max
-            for pos, j in enumerate(order):
-                best_assign[j] = cur_assign[pos]
-            if best <= target:
-                raise _Done
-            return
-        size = ordered_sizes[idx]
-        seen: set[int] = set()
-        for alpha in range(m):
-            load = cur[alpha]
-            if load in seen:
-                continue
-            seen.add(load)
-            new_load = load + size
-            if new_load >= best:
-                continue
-            cur[alpha] = new_load
-            cur_assign[idx] = alpha
-            dfs(idx + 1, new_load if new_load > cur_max else cur_max)
-            cur[alpha] = load
+        def dfs(idx: int, cur_max: int) -> None:
+            nonlocal best, nodes
+            nodes += 1
+            if nodes > node_budget:
+                raise _Budget
+            if idx == n:
+                best = cur_max
+                for pos, j in enumerate(order):
+                    best_assign[j] = cur_assign[pos]
+                if best <= target:
+                    raise _Done
+                return
+            size = ordered_times[idx]
+            seen: set[int] = set()
+            for alpha in range(m):
+                load = cur[alpha]
+                if load in seen:
+                    continue
+                seen.add(load)
+                new_load = load + size
+                if new_load >= best:
+                    continue
+                cur[alpha] = new_load
+                cur_assign[idx] = alpha
+                dfs(idx + 1, new_load if new_load > cur_max else cur_max)
+                cur[alpha] = load
 
-    try:
-        dfs(0, 0)
-    except _Done:
-        pass
-    except _Budget:
-        status = "budget-exhausted"
-    makespan = Fraction(best, scale) / s
-    lower = makespan if status == "exact" else lb_load / s
-    return OptResult(makespan, _partition_plan(best_assign, n), status, lower, nodes)
-
-
-def _partition_plan(assign: list[int], n: int) -> Plan:
-    """Single-stage plan from a machine assignment, machines renumbered so the
-    one holding the smallest job id comes first; queue order by job id."""
+        try:
+            dfs(0, 0)
+        except _Done:
+            pass
+        except _Budget:
+            status = "budget-exhausted"
+    makespan = Fraction(best, scale)
+    lower = makespan if status == "exact" else lb / scale
+    # one queue per machine, ordered by job id and renumbered so the machine
+    # holding the smallest job id comes first
     groups: dict[int, list[int]] = {}
     for j in range(n):
-        groups.setdefault(assign[j], []).append(j)
-    ordered = sorted(groups.values(), key=lambda g: g[0])
-    entry: list[tuple[int, int]] = [(0, 0)] * n
-    for machine, group in enumerate(ordered):
-        for position, j in enumerate(group):
-            entry[j] = (machine, position)
-    return (tuple(entry),)
+        groups.setdefault(best_assign[j], []).append(j)
+    return OptResult(makespan, queues_to_plan([sorted(groups.values())]), status, lower, nodes)

@@ -7,12 +7,11 @@ from dataclasses import dataclass
 from .model import (
     ZERO,
     Instance,
-    MachineState,
     Scalar,
     ScheduleTrace,
-    StageRecord,
     format_decimal,
     format_scalar,
+    time_grid,
 )
 
 
@@ -35,24 +34,32 @@ def greedy_schedule(instance: Instance) -> tuple[ScheduleTrace, list[GreedyEvent
     releases an earlier decider's enqueue is visible to later deciders. Machine
     ties go to the lowest index. Returns the trace plus the decision log.
     """
-    n = instance.n
-    releases: list[Scalar] = [ZERO] * n
-    rows: list[list[StageRecord]] = [[] for _ in range(n)]
-    events: list[GreedyEvent] = []
+    n, k = instance.n, instance.k
+    scale, ticks = time_grid(instance.sizes(), [s.speed for s in instance.stages])
+    machines = [[0] * k for _ in range(n)]
+    completions = [[0] * k for _ in range(n)]
+    decisions: list[tuple[int, int, tuple[Scalar, ...], int]] = []
+    releases = [0] * n
     for i, spec in enumerate(instance.stages):
-        machines = [MachineState() for _ in range(spec.machines)]
-        next_releases: list[Scalar] = [ZERO] * n
-        for j in sorted(range(n), key=lambda j: (releases[j], j)):
-            loads = tuple(m.load(spec.speed) for m in machines)
-            chosen = min(range(spec.machines), key=lambda a: (loads[a], a))
-            start, completion = machines[chosen].enqueue(
-                releases[j], instance.jobs[j].size / spec.speed
-            )
-            events.append(GreedyEvent(releases[j], j, i, loads, chosen))
-            rows[j].append(StageRecord(i, chosen, releases[j], start, completion))
-            next_releases[j] = completion
-        releases = next_releases
-    trace = ScheduleTrace(tuple(tuple(r) for r in rows), max(releases))
+        # a machine's load is speed times the time its queue drains; with one
+        # speed per stage the least load is the earliest drain time
+        available = [0] * spec.machines
+        loads = [ZERO] * spec.machines
+        load_per_tick = spec.speed / scale
+        for j in sorted(range(n), key=releases.__getitem__):
+            chosen = available.index(min(available))
+            decisions.append((j, i, tuple(loads), chosen))
+            release = releases[j]
+            start = release if release > available[chosen] else available[chosen]
+            completion = available[chosen] = start + ticks[j][i]
+            loads[chosen] = load_per_tick * completion
+            machines[j][i] = chosen
+            completions[j][i] = completion
+        releases = [row[i] for row in completions]
+    trace = ScheduleTrace.from_grid(scale, ticks, machines, completions)
+    events = [
+        GreedyEvent(trace.records[j][i].release, j, i, loads, chosen) for j, i, loads, chosen in decisions
+    ]
     return trace, events
 
 

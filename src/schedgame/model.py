@@ -1,15 +1,19 @@
-"""Domain types, exact time arithmetic, and the schedule evaluation kernel.
+"""Domain types, the exact time grid, plan forms, and the schedule kernel.
 
-Every size, speed, and time is an exact rational (`fractions.Fraction`).
-Ties between machine loads are semantically load-bearing, so nothing in the
-core ever rounds; decimal strings are parsed to exact fractions on the way in
-and rendered back to decimals only at the output boundary.
+Every size, speed, and time is an exact rational (`fractions.Fraction`) at the
+API boundary. Ties between machine loads are semantically load-bearing, so
+nothing ever rounds: the kernels run on the instance's integer time grid
+(`time_grid`), which represents every reachable time exactly, and build
+fractions only for the results they return. Decimal strings are parsed to
+exact fractions on the way in and rendered back to decimals only at the
+output boundary.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -17,6 +21,13 @@ from typing import Iterable, Sequence
 Scalar = Fraction
 
 ZERO = Fraction(0)
+
+# Most digits a parsed scalar may spell out or imply: the length of its text
+# plus the magnitude of its exponent. It keeps every input far below Python's
+# 4300-digit int/str conversion limit, and refuses "1e999999999" before the
+# huge integer is built.
+MAX_SCALAR_DIGITS = 100
+_INT_LIMIT = 10**MAX_SCALAR_DIGITS
 
 
 class ModelError(ValueError):
@@ -39,19 +50,28 @@ def parse_scalar(value: str | int) -> Scalar:
     """Parse an exact rational from "a/b", a decimal string, or an int.
 
     Scientific notation ("1e6", "2.5e-3") is accepted. Floats are rejected:
-    they carry binary rounding, which would silently break exactness.
+    they carry binary rounding, which would silently break exactness. Values
+    longer than MAX_SCALAR_DIGITS digits are refused.
     """
     if isinstance(value, bool):
         raise ModelError(f"not a rational number: {value!r}")
     if isinstance(value, int):
+        if abs(value) >= _INT_LIMIT:
+            raise ModelError(f"integer has more than {MAX_SCALAR_DIGITS} digits")
         return Fraction(value)
     if not isinstance(value, str):
         raise ModelError(
             f"numeric fields must be strings or ints, got {type(value).__name__}: "
             f"{value!r} (floats lose exactness)"
         )
+    text = value.strip()
+    exponent = text.lower().partition("e")[2].lstrip("+-")
+    if len(text) > MAX_SCALAR_DIGITS or (
+        exponent.isdecimal() and len(text) + int(exponent) > MAX_SCALAR_DIGITS
+    ):
+        raise ModelError(f"number has more than {MAX_SCALAR_DIGITS} digits: {text[:40]!r}")
     try:
-        return Fraction(value.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ModelError(f"not a rational number: {value!r}") from exc
 
@@ -190,29 +210,18 @@ class Instance:
         return Instance(tuple(jobs), tuple(stages), family)
 
 
-def execution_time(job: Job, stage: StageSpec) -> Scalar:
-    """Time `job` occupies one machine of `stage`: size divided by speed."""
-    return job.size / stage.speed
+def time_grid(sizes: Sequence[Scalar], speeds: Sequence[Scalar]) -> tuple[int, list[list[int]]]:
+    """The exact integer time grid of jobs with `sizes` on stages with `speeds`.
 
-
-@dataclass
-class MachineState:
-    """Tail state of one machine's queue: when its last enqueued job finishes.
-
-    The machine's load at any moment is speed times this value, whether or not
-    the machine is currently idle.
+    Returns (L, ticks): L is the lcm of the denominators of every size/speed,
+    and ticks[j][i] = L * size_j / speed_i is job j's execution time at stage
+    i in units of 1/L. Every time a schedule can reach is a sum of execution
+    times, so it is an exact integer number of ticks: kernels compare and add
+    plain ints and divide by L only for the results they return.
     """
-
-    available_at: Scalar = ZERO
-
-    def load(self, speed: Scalar) -> Scalar:
-        return speed * self.available_at
-
-    def enqueue(self, release: Scalar, exec_time: Scalar) -> tuple[Scalar, Scalar]:
-        start = release if release > self.available_at else self.available_at
-        completion = start + exec_time
-        self.available_at = completion
-        return start, completion
+    times = [[size / speed for speed in speeds] for size in sizes]
+    scale = math.lcm(*(t.denominator for row in times for t in row))
+    return scale, [[t.numerator * (scale // t.denominator) for t in row] for row in times]
 
 
 @dataclass(frozen=True)
@@ -250,10 +259,48 @@ class ScheduleTrace:
     def final_completions(self) -> tuple[Scalar, ...]:
         return self.completions(self.k - 1)
 
+    @staticmethod
+    def from_grid(
+        scale: int,
+        ticks: Sequence[Sequence[int]],
+        machines: Sequence[Sequence[int]],
+        completions: Sequence[Sequence[int]],
+    ) -> "ScheduleTrace":
+        """Build the exact trace from integer-grid timings.
+
+        `machines[j][i]` and `completions[j][i]` give where job j ran at stage
+        i and when it finished there, in ticks of 1/`scale`; releases chain
+        from the previous stage's completion, starts are completion minus
+        `ticks[j][i]`.
+        """
+        fractions: dict[int, Scalar] = {}
+
+        def time(tick: int) -> Scalar:
+            value = fractions.get(tick)
+            if value is None:
+                value = fractions[tick] = Fraction(tick, scale)
+            return value
+
+        rows = []
+        for j, (row_machines, row_completions) in enumerate(zip(machines, completions)):
+            release = 0
+            row = []
+            for i, (machine, completion) in enumerate(zip(row_machines, row_completions)):
+                start = completion - ticks[j][i]
+                row.append(StageRecord(i, machine, time(release), time(start), time(completion)))
+                release = completion
+            rows.append(tuple(row))
+        return ScheduleTrace(tuple(rows), time(max(row[-1] for row in completions)))
+
 
 # A plan fixes, for every stage, each job's machine and queue position:
-# plan[stage][job] = (machine, position). Queue order is authoritative.
+# plan[stage][job] = (machine, position). Queue order is authoritative. It is
+# the public form, read and written as JSON.
 Plan = tuple[tuple[tuple[int, int], ...], ...]
+
+# The solvers' form of the same plan: queues[stage][machine] lists job ids in
+# service order. Machines after the last busy one may be left out.
+Queues = Sequence[Sequence[Sequence[int]]]
 
 
 def as_plan(obj: Sequence[Sequence[Sequence[int]]]) -> Plan:
@@ -275,27 +322,64 @@ def plan_from_json(data: object) -> Plan:
     return as_plan(data)
 
 
-def _plan_problems(instance: Instance, plan: Plan) -> list[str]:
-    problems: list[str] = []
+def plan_to_queues(instance: Instance, plan: Plan | Sequence) -> Queues:
+    """Check that `plan` covers `instance` and return its queue sequences.
+
+    Raises PlanError listing every problem: a wrong stage or job count, a
+    machine out of range, or positions on a machine that are not 0..q-1.
+    """
+    plan = as_plan(plan)
     if len(plan) != instance.k:
-        return [f"plan has {len(plan)} stages, instance has {instance.k}"]
+        raise PlanError([f"plan has {len(plan)} stages, instance has {instance.k}"])
+    problems: list[str] = []
+    queues = []
     for i, stage_plan in enumerate(plan):
         spec = instance.stages[i]
         if len(stage_plan) != instance.n:
             problems.append(f"stage {i}: plan covers {len(stage_plan)} jobs, instance has {instance.n}")
             continue
-        per_machine: dict[int, list[int]] = {}
+        slots: dict[int, list[tuple[int, int]]] = {}
         for j, (machine, position) in enumerate(stage_plan):
             if not 0 <= machine < spec.machines:
                 problems.append(f"stage {i}, job {j}: machine {machine} out of range [0, {spec.machines})")
                 continue
-            per_machine.setdefault(machine, []).append(position)
-        for machine, positions in sorted(per_machine.items()):
-            if sorted(positions) != list(range(len(positions))):
+            slots.setdefault(machine, []).append((position, j))
+        for machine, queue in sorted(slots.items()):
+            positions = sorted(position for position, _ in queue)
+            if positions != list(range(len(positions))):
                 problems.append(
-                    f"stage {i}, machine {machine}: positions {sorted(positions)} are not 0..{len(positions) - 1}"
+                    f"stage {i}, machine {machine}: positions {positions} are not 0..{len(positions) - 1}"
                 )
-    return problems
+        busy = max(slots, default=-1) + 1
+        queues.append(tuple(tuple(j for _, j in sorted(slots.get(a, ()))) for a in range(busy)))
+    if problems:
+        raise PlanError(problems)
+    return tuple(queues)
+
+
+def queues_to_plan(queues: Queues) -> Plan:
+    """The (machine, position) plan that serves `queues`."""
+    plan = []
+    for stage in queues:
+        entry: dict[int, tuple[int, int]] = {}
+        for machine, queue in enumerate(stage):
+            for position, j in enumerate(queue):
+                entry[j] = (machine, position)
+        plan.append(tuple(entry[j] for j in range(len(entry))))
+    return tuple(plan)
+
+
+def trace_queues(trace: ScheduleTrace) -> Queues:
+    """The queue sequences a trace realizes: each machine's jobs by start time."""
+    queues = []
+    for i in range(trace.k):
+        starts: dict[int, list[tuple[Scalar, int]]] = {}
+        for j in range(trace.n):
+            rec = trace.records[j][i]
+            starts.setdefault(rec.machine, []).append((rec.start, j))
+        busy = max(starts) + 1
+        queues.append(tuple(tuple(j for _, j in sorted(starts.get(a, ()))) for a in range(busy)))
+    return tuple(queues)
 
 
 def evaluate_schedule(instance: Instance, plan: Plan | Sequence) -> ScheduleTrace:
@@ -306,27 +390,19 @@ def evaluate_schedule(instance: Instance, plan: Plan | Sequence) -> ScheduleTrac
     earlier-released job. Releases chain: a job enters stage i+1 the moment it
     completes stage i.
     """
-    plan = as_plan(plan)
-    problems = _plan_problems(instance, plan)
-    if problems:
-        raise PlanError(problems)
-    n = instance.n
-    releases: list[Scalar] = [ZERO] * n
-    rows: list[list[StageRecord]] = [[] for _ in range(n)]
-    for i, spec in enumerate(instance.stages):
-        queues: dict[int, list[tuple[int, int]]] = {}
-        for j, (machine, position) in enumerate(plan[i]):
-            queues.setdefault(machine, []).append((position, j))
-        next_releases: list[Scalar] = [ZERO] * n
-        for machine, queue in queues.items():
-            state = MachineState()
-            for _, j in sorted(queue):
-                start, completion = state.enqueue(releases[j], instance.jobs[j].size / spec.speed)
-                rows[j].append(StageRecord(i, machine, releases[j], start, completion))
-                next_releases[j] = completion
-        releases = next_releases
-    makespan = max(releases)
-    return ScheduleTrace(tuple(tuple(r) for r in rows), makespan)
+    queues = plan_to_queues(instance, plan)
+    scale, ticks = time_grid(instance.sizes(), [s.speed for s in instance.stages])
+    machines = [[0] * instance.k for _ in range(instance.n)]
+    completions = [[0] * instance.k for _ in range(instance.n)]
+    for i, stage in enumerate(queues):
+        for machine, queue in enumerate(stage):
+            available = 0
+            for j in queue:
+                release = completions[j][i - 1] if i else 0
+                available = (release if release > available else available) + ticks[j][i]
+                machines[j][i] = machine
+                completions[j][i] = available
+    return ScheduleTrace.from_grid(scale, ticks, machines, completions)
 
 
 def validate_trace(instance: Instance, trace: ScheduleTrace) -> list[str]:

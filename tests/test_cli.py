@@ -52,7 +52,7 @@ class TestGenerate:
 class TestSimulate:
     def test_pipe_appendix_greedy(self, capsys, monkeypatch, tmp_path):
         _, gen_out, _ = run_cli(capsys, ["generate", "--family", "appendix"])
-        code, out, _ = run_cli(capsys, ["simulate", "--policy", "greedy"], stdin=gen_out, monkeypatch=monkeypatch)
+        code, out, _ = run_cli(capsys, ["simulate"], stdin=gen_out, monkeypatch=monkeypatch)
         assert code == 0
         payload = json.loads(out)
         assert payload["trace"]["makespan"] == "606/5"
@@ -76,6 +76,16 @@ class TestSimulate:
         code, _, err = run_cli(capsys, ["simulate"], stdin=bad, monkeypatch=monkeypatch)
         assert code == 2
         assert "at least one job" in err
+
+    @pytest.mark.parametrize(
+        "size", ['"1e5000"', '"1e-5000"', '"1e999999999"', '"1/' + "3" * 200 + '"', "1" + "0" * 5000]
+    )
+    def test_extreme_numbers_are_input_errors(self, capsys, monkeypatch, size):
+        raw = '{"stages":[{"machines":1,"speed":"1"}],"jobs":[{"size":%s}]}' % size
+        code, out, err = run_cli(capsys, ["simulate"], stdin=raw, monkeypatch=monkeypatch)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err and out == ""
 
     def test_invalid_json(self, capsys, monkeypatch):
         code, _, err = run_cli(capsys, ["simulate"], stdin="{not json", monkeypatch=monkeypatch)
@@ -113,6 +123,13 @@ class TestOptimal:
         code, _, err = run_cli(capsys, ["optimal", "-i", path, "--limits", "jobs=2"])
         assert code == 2
         assert "unknown limit" in err
+
+    @pytest.mark.parametrize("limits", ["time_budget=nan", "node_budget=-5", "max_jobs=0", "node_budget=1.5"])
+    def test_rejected_limit_values(self, capsys, tmp_path, limits):
+        path = write_instance(tmp_path, gen_appendix_example())
+        code, _, err = run_cli(capsys, ["optimal", "-i", path, "--limits", limits])
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestSpne:

@@ -89,6 +89,7 @@ class TestValueConsistency:
         inst = gen_random(n=1 + seed % 3, k=1 + seed % 3, seed=seed)
         result = spne_solve(inst, ActionModel(allow_defer=allow_defer))
         assert result.trace.final_completions() == result.final_completions
+        assert all(isinstance(t, F) for t in result.final_completions + result.deltas)
         assert validate_trace(inst, result.trace) == []
 
     @given(st.integers(0, 120))

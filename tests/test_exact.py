@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,12 @@ from schedgame import (
     optimal_makespan,
     single_stage_optimal,
 )
+from schedgame.model import plan_from_json, plan_to_json
 from helpers import brute_force_optimal, brute_force_partition
+
+
+def _json_round_trip(plan):
+    return plan_from_json(json.loads(json.dumps(plan_to_json(plan))))
 
 
 def appendix_instance():
@@ -84,7 +90,14 @@ class TestSingleStageOptimal:
         jobs = [Job(i, F(x)) for i, x in enumerate([5, 4, 3, 3, 2, 1])]
         result = single_stage_optimal(jobs, 3, F(2))
         inst = Instance(tuple(jobs), (Instance.from_sizes([1], [(3, 2)]).stages))
-        assert evaluate_schedule(inst, result.plan).makespan == result.makespan
+        assert evaluate_schedule(inst, _json_round_trip(result.plan)).makespan == result.makespan
+
+    @given(st.integers(0, 300))
+    def test_witness_json_round_trip(self, seed):
+        inst = gen_random(n=1 + seed % 7, k=1, machine_range=(2, 3), seed=seed)
+        spec = inst.stages[0]
+        result = single_stage_optimal(list(inst.jobs), spec.machines, spec.speed)
+        assert evaluate_schedule(inst, _json_round_trip(result.plan)).makespan == result.makespan
 
     def test_refuses_oversized(self):
         jobs = [Job(i, F(p)) for i, p in enumerate([7, 6, 5, 5, 4, 3, 2, 2, 1])]
@@ -128,7 +141,7 @@ class TestOptimalMakespan:
     def test_witness_replays_exactly(self, seed):
         inst = gen_random(n=1 + seed % 5, k=1 + seed % 3, seed=seed)
         result = optimal_makespan(inst)
-        assert evaluate_schedule(inst, result.plan).makespan == result.makespan
+        assert evaluate_schedule(inst, _json_round_trip(result.plan)).makespan == result.makespan
 
     @given(st.integers(0, 300))
     def test_greedy_never_beats_optimal(self, seed):

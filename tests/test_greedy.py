@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from schedgame import (
     Instance,
+    evaluate_schedule,
     gen_random,
     greedy_schedule,
     release_order,
     validate_trace,
 )
+from schedgame.model import queues_to_plan, trace_queues
 from helpers import list_schedule
 
 
@@ -85,6 +87,20 @@ class TestGreedyProperties:
         inst = gen_random(n=1 + seed % 6, k=1 + seed % 3, seed=seed)
         trace, _ = greedy_schedule(inst)
         assert validate_trace(inst, trace) == []
+
+    @given(st.integers(0, 500))
+    def test_differential_against_replay_and_list_scheduling(self, seed):
+        # greedy's own queues replay to the same trace through the plan
+        # kernel, the trace is valid, and one stage is textbook list scheduling
+        inst = gen_random(n=1 + seed % 9, k=1 + seed % 3, machine_range=(1, 4), seed=seed)
+        trace, _ = greedy_schedule(inst)
+        assert evaluate_schedule(inst, queues_to_plan(trace_queues(trace))) == trace
+        assert validate_trace(inst, trace) == []
+        if inst.k == 1:
+            spec = inst.stages[0]
+            machines, makespan = list_schedule(list(inst.sizes()), spec.machines, spec.speed)
+            assert [row[0].machine for row in trace.records] == machines
+            assert trace.makespan == makespan
 
     @given(st.integers(0, 500))
     def test_choice_certificate(self, seed):

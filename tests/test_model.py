@@ -12,14 +12,13 @@ from schedgame import (
     PlanError,
     StageSpec,
     evaluate_schedule,
-    execution_time,
     format_decimal,
     format_scalar,
     greedy_schedule,
     parse_scalar,
     validate_trace,
 )
-from schedgame.model import trace_to_csv, trace_to_json
+from schedgame.model import queues_to_plan, trace_queues, trace_to_csv, trace_to_json
 
 small_fractions = st.fractions(min_value=F(1, 8), max_value=10, max_denominator=8)
 
@@ -40,7 +39,9 @@ class TestParseScalar:
     def test_accepts(self, text, expected):
         assert parse_scalar(text) == expected
 
-    @pytest.mark.parametrize("bad", ["abc", "1/0", "", "1.2.3", 0.1, True, None])
+    @pytest.mark.parametrize(
+        "bad", ["abc", "1/0", "", "1.2.3", 0.1, True, None, "1e5000", "1e-5000", "1e999999999", "7" * 101, 10**100]
+    )
     def test_rejects(self, bad):
         with pytest.raises(ModelError):
             parse_scalar(bad)
@@ -72,13 +73,6 @@ class TestFormatting:
         rendered = format_decimal(value, precision)
         error = abs(F(rendered) - value)
         assert error <= F(1, 2 * 10**precision)
-
-
-class TestExecutionTime:
-    def test_examples(self):
-        assert execution_time(Job(0, F(10)), StageSpec(2, F(5))) == 2
-        assert execution_time(Job(0, F(1)), StageSpec(1, F(1))) == 1
-        assert execution_time(Job(0, F(7)), StageSpec(1, F(3))) == F(7, 3)
 
 
 class TestInstanceValidation:
@@ -260,10 +254,8 @@ class TestScaleCovariance:
 
 
 def _greedy_plan(inst):
-    from schedgame.exact import _plan_from_trace
-
     trace, _ = greedy_schedule(inst)
-    return _plan_from_trace(trace)
+    return queues_to_plan(trace_queues(trace))
 
 
 class TestSerialization:
