@@ -82,7 +82,7 @@ class BoundRow:
 
     @property
     def holds(self) -> bool:
-        return self.slack >= 0
+        return self.lhs <= self.rhs
 
 
 @dataclass(frozen=True)
@@ -139,45 +139,33 @@ def _check_ms_star(instance: Instance, stage: int, ms_star: Scalar) -> None:
         )
 
 
-def _premise_rows(
-    instance: Instance, trace: ScheduleTrace, stage: int, t_offset: Scalar, ms_star: Scalar
-) -> tuple[list[BoundRow], Scalar]:
-    """Arrival-bound rows plus the minimal offset that would make them hold."""
-    order = release_order(trace, stage)
-    rows: list[BoundRow] = []
-    prefix = Fraction(0)
-    minimal_t = Fraction(0)
-    for rank, j in enumerate(order):
-        lhs = trace.records[j][stage].release
-        rhs = t_offset + prefix / ms_star
-        rows.append(BoundRow(f"release j={rank + 1} (job {j})", lhs, rhs))
-        need = lhs - prefix / ms_star
-        if need > minimal_t:
-            minimal_t = need
-        prefix += instance.jobs[j].size
-    return rows, minimal_t
-
-
-def _completion_rows(
-    instance: Instance, trace: ScheduleTrace, stage: int, t_offset: Scalar, ms_star: Scalar
-) -> list[BoundRow]:
-    """Completion-bound rows in release order and in completion-sorted order."""
+def _stage_rows(
+    instance: Instance, trace: ScheduleTrace, stage: int, t_offset: Scalar, ms_star: Scalar, label: str = ""
+) -> tuple[list[BoundRow], list[BoundRow], Scalar]:
+    """One stage's premise rows, completion rows (release, then sorted order) and minimal_t."""
     spec = instance.stages[stage]
     p_max = max(job.size for job in instance.jobs)
     head = t_offset + Fraction(2 * spec.machines - 1, 1) / (spec.machines * spec.speed) * p_max
-    rows: list[BoundRow] = []
+    premise: list[BoundRow] = []
+    completion: list[BoundRow] = []
     prefix = Fraction(0)
+    minimal_t = Fraction(0)
     for rank, j in enumerate(release_order(trace, stage)):
-        lhs = trace.records[j][stage].completion
-        rows.append(BoundRow(f"completion j={rank + 1} (job {j})", lhs, head + prefix / ms_star))
+        record = trace.records[j][stage]
+        share = prefix / ms_star
+        tag = f"j={rank + 1} (job {j})"
+        premise.append(BoundRow(f"{label}release {tag}", record.release, t_offset + share))
+        completion.append(BoundRow(f"{label}completion {tag}", record.completion, head + share))
+        need = record.release - share
+        if need > minimal_t:
+            minimal_t = need
         prefix += instance.jobs[j].size
-    sigma = sigma_permutation(trace.completions(stage), stage)
     prefix = Fraction(0)
-    for rank, j in enumerate(sigma.order):
-        lhs = trace.records[j][stage].completion
-        rows.append(BoundRow(f"sorted completion j={rank + 1} (job {j})", lhs, head + prefix / ms_star))
+    for rank, j in enumerate(sigma_permutation(trace.completions(stage), stage).order):
+        lhs, rhs = trace.records[j][stage].completion, head + prefix / ms_star
+        completion.append(BoundRow(f"{label}sorted completion j={rank + 1} (job {j})", lhs, rhs))
         prefix += instance.jobs[j].size
-    return rows
+    return premise, completion, minimal_t
 
 
 def check_release_premise(
@@ -193,7 +181,7 @@ def check_release_premise(
     stage-to-stage chaining needs.
     """
     _check_ms_star(instance, stage, ms_star)
-    rows, minimal_t = _premise_rows(instance, trace, stage, t_offset, ms_star)
+    rows, _, minimal_t = _stage_rows(instance, trace, stage, t_offset, ms_star)
     spec = instance.stages[stage]
     params = {"T": t_offset, "ms_star": ms_star, "m": spec.machines, "s": spec.speed}
     return BoundReport("release-premise", stage, tuple(rows), params, minimal_t)
@@ -212,14 +200,13 @@ def check_completion_bound(
     offset: the conclusion would be vacuous, not verified.
     """
     _check_ms_star(instance, stage, ms_star)
-    premise_rows, _ = _premise_rows(instance, trace, stage, t_offset, ms_star)
+    premise_rows, rows, _ = _stage_rows(instance, trace, stage, t_offset, ms_star)
     bad = [row for row in premise_rows if not row.holds]
     if bad:
         raise AnalysisError(
             f"release premise fails at stage {stage} ({bad[0].label}: "
             f"{bad[0].lhs} > {bad[0].rhs}); completion bound not applicable"
         )
-    rows = _completion_rows(instance, trace, stage, t_offset, ms_star)
     spec = instance.stages[stage]
     params = {
         "T": t_offset,
@@ -262,12 +249,8 @@ def check_multistage_chain(
     t = Fraction(0)
     for stage in range(instance.k):
         spec = instance.stages[stage]
-        premise_rows, _ = _premise_rows(instance, trace, stage, t, rate)
-        rows.extend(BoundRow(f"stage {stage}: {r.label}", r.lhs, r.rhs) for r in premise_rows)
-        rows.extend(
-            BoundRow(f"stage {stage}: {r.label}", r.lhs, r.rhs)
-            for r in _completion_rows(instance, trace, stage, t, rate)
-        )
+        premise_rows, completion_rows, _ = _stage_rows(instance, trace, stage, t, rate, f"stage {stage}: ")
+        rows += premise_rows + completion_rows
         t += Fraction(2 * spec.machines - 1, 1) / (spec.machines * spec.speed) * p_max
         offsets.append(t)
     final_stage = instance.k - 1

@@ -34,6 +34,7 @@ from .generators import (
 )
 from .greedy import events_to_json, greedy_schedule
 from .model import (
+    MAX_SCALAR_DIGITS,
     Instance,
     ModelError,
     evaluate_schedule,
@@ -353,7 +354,7 @@ SWEEP_BASE_FIELDS = ("family", "t_equ", "t_opt", "opt_status", "ratio", "ceiling
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     ops = [op.strip() for op in args.ops.split(",") if op.strip()]
-    known_ops = {"greedy", "optimal", "poa", "verify-bounds", "spne"}
+    known_ops = {"greedy", "poa", "verify-bounds", "spne"}
     if not ops:
         raise CliError("sweep needs at least one operation in --ops")
     for op in ops:
@@ -396,7 +397,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             instance = _build_family_instance(args.family, dict(combo))
             trace, _ = greedy_schedule(instance)
             t_equ = format_scalar(trace.makespan)
-            if "poa" in ops or "optimal" in ops:
+            if "poa" in ops:
                 report = price_of_anarchy(instance, limits)
                 opt_status = report.opt_status
                 t_opt = format_scalar(report.t_opt) if report.t_opt is not None else format_scalar(
@@ -438,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_input:
             p.add_argument("--input", "-i", default=None, help="instance JSON file (default: stdin)")
         p.add_argument("--output", "-o", default=None, help="output file (default: stdout)")
-        p.add_argument("--precision", type=int, default=6, help="decimal rendering precision")
+        p.add_argument("--precision", type=int, default=6, help=f"decimal digits, 0..{MAX_SCALAR_DIGITS}")
 
     p = sub.add_parser("generate", help="emit an instance from a named family")
     p.add_argument("--family", required=True, choices=FAMILIES)
@@ -493,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--param", action="append", default=None,
                    help="grid values, e.g. --param m=2..8 --param s=1,1/2 (repeatable)")
-    p.add_argument("--ops", default="greedy,poa", help="comma list: greedy,optimal,poa,verify-bounds,spne")
+    p.add_argument("--ops", default="greedy,poa", help="comma list: greedy,poa,verify-bounds,spne")
     p.add_argument("--limits", default=None)
     add_common(p, with_input=False)
     p.set_defaults(func=_cmd_sweep)
@@ -505,6 +506,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not 0 <= args.precision <= MAX_SCALAR_DIGITS:
+            parser.error(f"argument --precision: must lie in 0..{MAX_SCALAR_DIGITS}, got {args.precision}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

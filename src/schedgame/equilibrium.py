@@ -39,13 +39,11 @@ Action = int | str
 class ActionModel:
     """What a deciding job may do besides picking a machine.
 
-    max_defers_per_batch caps one job's defers within a batch of tied
-    decisions; None applies the structural cap of batch size - 1, which
-    already guarantees termination.
+    A job may defer at most batch size - 1 times within a batch of tied
+    decisions, which guarantees termination.
     """
 
     allow_defer: bool = True
-    max_defers_per_batch: int | None = None
 
 
 @dataclass(frozen=True)
@@ -142,12 +140,8 @@ class _GameSolver:
         j = batch[0]
         stage = jobs[j][0]
         acts: list[Action] = list(range(len(machines[stage])))
-        if self.model.allow_defer and len(batch) >= 2:
-            cap = len(batch) - 1
-            if self.model.max_defers_per_batch is not None:
-                cap = min(cap, self.model.max_defers_per_batch)
-            if defers[0] < cap:
-                acts.append(DEFER)
+        if self.model.allow_defer and defers[0] < len(batch) - 1:
+            acts.append(DEFER)
         return tuple(acts)
 
     def apply(self, state: _State, action: Action) -> _State:

@@ -223,8 +223,15 @@ class _PlanSearch:
 
     def _expand(self, stage_i: int, releases: tuple[int, ...], prefix: list) -> None:
         if stage_i == self.k - 1:
-            self._final_stage(releases, prefix)
-            return
+            # a full plan: only its makespan matters
+            def finish(comps: list[int], seqs: list[list[int]]) -> None:
+                if max(comps) < self.best:
+                    self.best = max(comps)
+                    self.best_seqs = tuple(prefix) + (tuple(tuple(s) for s in seqs),)
+                    if self.best <= self.target:
+                        raise _Done
+
+            return self._enumerate(stage_i, releases, finish)
         archive = self.archives[stage_i]
         for comps, seqs in self._stage_plans(stage_i, releases):
             if self._vector_lb(stage_i + 1, comps) >= self.best:
@@ -235,20 +242,42 @@ class _PlanSearch:
             self._expand(stage_i + 1, comps, prefix + [seqs])
 
     def _stage_plans(self, stage_i: int, releases: tuple[int, ...]):
-        """All canonical stage plans as (completion vector, machine sequences).
+        """A non-final stage's plans as (completion vector, machine sequences).
+
+        Deduplicated, dominance-filtered (same parent state, so a componentwise-
+        smaller completion vector always continues at least as well) and sorted
+        most promising first.
+        """
+        out: dict[tuple[int, ...], tuple] = {}
+
+        def collect(comps: list[int], seqs: list[list[int]]) -> None:
+            key = tuple(comps)
+            if key not in out:
+                out[key] = tuple(tuple(s) for s in seqs)
+
+        self._enumerate(stage_i, releases, collect)
+        items = sorted(out.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        kept: list[tuple[tuple[int, ...], tuple]] = []
+        for vec, plan_seqs in items:
+            if not _dominated(vec, [v for v, _ in kept]):
+                kept.append((vec, plan_seqs))
+        kept.sort(key=lambda kv: (max(kv[0]), kv[0]))
+        return kept
+
+    def _enumerate(self, stage_i: int, releases: tuple[int, ...], leaf) -> None:
+        """Call leaf(comps, seqs) for every canonical FIFO plan of one stage.
 
         Machine symmetry is broken by requiring each machine's queue to contain
-        the smallest job id unused when it was opened, empties trailing. The
-        result is deduplicated and dominance-filtered (same parent state, so a
-        componentwise-smaller completion vector always continues at least as
-        well) and sorted most promising first.
+        the smallest job id unused when it was opened, empties trailing. A job
+        whose completion plus its remaining path cannot beat the incumbent is
+        not placed. `comps` and `seqs` are reused between leaves: a leaf that
+        keeps them must copy them. `leaf` may lower `self.best` or raise.
         """
         m = self.machines[stage_i]
         execs = [self.exec_int[j][stage_i] for j in range(self.n)]
         rempath_next = [self.rempath[j][stage_i + 1] for j in range(self.n)]
         canonical_jobs = stage_i == 0
         full_mask = (1 << self.n) - 1
-        out: dict[tuple[int, ...], tuple] = {}
         comps = [0] * self.n
         seqs: list[list[int]] = [[]]
 
@@ -270,7 +299,7 @@ class _PlanSearch:
                 new_used = used | bit
                 new_required = -1 if j == required else required
                 if new_used == full_mask:
-                    out.setdefault(tuple(comps), tuple(tuple(s) for s in seqs))
+                    leaf(comps, seqs)
                 else:
                     extend(machine_idx, c, new_used, new_required)
                     if new_required == -1 and machine_idx + 1 < m:
@@ -283,57 +312,6 @@ class _PlanSearch:
                 comps[j] = 0
 
         extend(0, 0, 0, 0)
-        items = sorted(out.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        kept: list[tuple[tuple[int, ...], tuple]] = []
-        for vec, plan_seqs in items:
-            if not _dominated(vec, [v for v, _ in kept]):
-                kept.append((vec, plan_seqs))
-        kept.sort(key=lambda kv: (max(kv[0]), kv[0]))
-        return kept
-
-    def _final_stage(self, releases: tuple[int, ...], prefix: list) -> None:
-        """Last stage: only the maximum completion matters, so track the min."""
-        m = self.machines[self.k - 1]
-        execs = [self.exec_int[j][self.k - 1] for j in range(self.n)]
-        canonical_jobs = self.k == 1
-        full_mask = (1 << self.n) - 1
-        seqs: list[list[int]] = [[]]
-
-        def extend(machine_idx: int, avail: int, used: int, required: int, cur_max: int) -> None:
-            for j in range(self.n):
-                bit = 1 << j
-                if used & bit:
-                    continue
-                if canonical_jobs and (used & self.equal_pred_mask[j]) != self.equal_pred_mask[j]:
-                    continue
-                self._tick()
-                r = releases[j]
-                start = r if r > avail else avail
-                c = start + execs[j]
-                if c >= self.best:
-                    continue
-                new_max = c if c > cur_max else cur_max
-                seqs[machine_idx].append(j)
-                new_used = used | bit
-                new_required = -1 if j == required else required
-                if new_used == full_mask:
-                    if new_max < self.best:
-                        self.best = new_max
-                        self.best_seqs = tuple(prefix) + (tuple(tuple(s) for s in seqs),)
-                        if self.best <= self.target:
-                            seqs[machine_idx].pop()
-                            raise _Done
-                else:
-                    extend(machine_idx, c, new_used, new_required, new_max)
-                    if new_required == -1 and machine_idx + 1 < m:
-                        remaining = (~new_used) & full_mask
-                        next_required = (remaining & -remaining).bit_length() - 1
-                        seqs.append([])
-                        extend(machine_idx + 1, 0, new_used, next_required, new_max)
-                        seqs.pop()
-                seqs[machine_idx].pop()
-
-        extend(0, 0, 0, 0, 0)
 
 
 def single_stage_optimal(

@@ -28,6 +28,11 @@ ZERO = Fraction(0)
 # huge integer is built.
 MAX_SCALAR_DIGITS = 100
 _INT_LIMIT = 10**MAX_SCALAR_DIGITS
+# Most bits the time grid's lcm L may have (about 2466 digits). L multiplies
+# the denominators of every size/speed (50 distinct 98-digit ones give 4809
+# digits); the cap leaves over 1800 digits below the 4300-digit limit for the
+# few scalar-sized factors that rendered times and bounds add to L.
+MAX_GRID_BITS = 8192
 
 
 class ModelError(ValueError):
@@ -217,10 +222,13 @@ def time_grid(sizes: Sequence[Scalar], speeds: Sequence[Scalar]) -> tuple[int, l
     and ticks[j][i] = L * size_j / speed_i is job j's execution time at stage
     i in units of 1/L. Every time a schedule can reach is a sum of execution
     times, so it is an exact integer number of ticks: kernels compare and add
-    plain ints and divide by L only for the results they return.
+    plain ints and divide by L only for the results they return. An L of
+    more than MAX_GRID_BITS bits is refused with a ModelError.
     """
     times = [[size / speed for speed in speeds] for size in sizes]
     scale = math.lcm(*(t.denominator for row in times for t in row))
+    if scale.bit_length() > MAX_GRID_BITS:
+        raise ModelError(f"time grid needs a {scale.bit_length()}-bit denominator (cap {MAX_GRID_BITS})")
     return scale, [[t.numerator * (scale // t.denominator) for t in row] for row in times]
 
 

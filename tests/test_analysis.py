@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from schedgame import (
     AnalysisError,
+    BoundRow,
     Instance,
     check_completion_bound,
     check_multistage_chain,
@@ -154,12 +155,26 @@ class TestMultistageChain:
         labels = [row.label for row in report.failures()]
         assert any("completion" in label for label in labels)
 
-    def test_single_stage_chain_equals_completion_bound(self):
-        inst = gen_single_stage_worst(3)
+    @given(st.integers(0, 400))
+    def test_single_stage_chain_equals_completion_bound(self, seed):
+        # each stage's chain rows are exactly the premise and completion rows
+        # of the single-stage checkers at the chain's offset for that stage
+        inst = gen_random(n=1 + seed % 6, k=1 + seed % 3, seed=seed)
         trace, _ = greedy_schedule(inst)
         chain = check_multistage_chain(inst, trace)
-        direct = check_completion_bound(inst, trace, 0, F(0), F(3))
-        assert chain.holds and direct.holds
+        assert chain.holds
+        rate = min(s.machines * s.speed for s in inst.stages)
+        for i in range(inst.k):
+            offset = F(chain.params["offsets"][i])
+            premise = check_release_premise(inst, trace, i, offset, rate)
+            completion = check_completion_bound(inst, trace, i, offset, rate)
+            label = f"stage {i}: "
+            rows = tuple(
+                BoundRow(row.label.removeprefix(label), row.lhs, row.rhs)
+                for row in chain.rows
+                if row.label.startswith(label)
+            )
+            assert rows == premise.rows + completion.rows
 
     def test_fast_stage_family_has_large_slack(self):
         inst = gen_multistage_worst(3, 1, 3, (1, 1), 10**6)

@@ -78,10 +78,16 @@ class TestSimulate:
         assert "at least one job" in err
 
     @pytest.mark.parametrize(
-        "size", ['"1e5000"', '"1e-5000"', '"1e999999999"', '"1/' + "3" * 200 + '"', "1" + "0" * 5000]
+        "jobs",
+        [
+            pytest.param('{"size":%s}' % size, id=size)
+            for size in ['"1e5000"', '"1e-5000"', '"1e999999999"', '"1/' + "3" * 200 + '"', "1" + "0" * 5000]
+        ]
+        # every size is within the digit cap, but the time grid's lcm has 4809 digits
+        + [pytest.param(",".join('{"size":"1/%d"}' % (10**97 + 2 * i + 1) for i in range(50)), id="wide-grid")],
     )
-    def test_extreme_numbers_are_input_errors(self, capsys, monkeypatch, size):
-        raw = '{"stages":[{"machines":1,"speed":"1"}],"jobs":[{"size":%s}]}' % size
+    def test_extreme_numbers_are_input_errors(self, capsys, monkeypatch, jobs):
+        raw = '{"stages":[{"machines":1,"speed":"1"}],"jobs":[%s]}' % jobs
         code, out, err = run_cli(capsys, ["simulate"], stdin=raw, monkeypatch=monkeypatch)
         assert code == 2
         assert err.startswith("error:")
@@ -250,6 +256,11 @@ class TestSweep:
         assert code == 2
         assert "at least one operation" in err
 
+    def test_unknown_op_is_an_error(self, capsys):
+        code, _, err = run_cli(capsys, ["sweep", "--family", "appendix", "--ops", "optimal"])
+        assert code == 2
+        assert "unknown op 'optimal'" in err
+
     def test_refusals_recorded_per_row(self, capsys):
         import csv as csv_mod
 
@@ -274,3 +285,12 @@ class TestUsageErrors:
 
     def test_unknown_family(self, capsys):
         assert main(["generate", "--family", "nope"]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "poa"])
+    @pytest.mark.parametrize("precision", ["5000", str(10**8), "-1"])
+    def test_precision_out_of_range(self, capsys, monkeypatch, command, precision):
+        raw = json.dumps(gen_appendix_example().to_json())
+        code, out, err = run_cli(capsys, [command, "--precision", precision], stdin=raw, monkeypatch=monkeypatch)
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err and out == ""

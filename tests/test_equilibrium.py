@@ -130,10 +130,3 @@ class TestRefusals:
         inst = gen_random(n=3, k=3, seed=5)
         with pytest.raises(LimitsExceeded):
             spne_solve(inst, limits=SearchLimits(node_budget=2))
-
-
-def test_max_defers_per_batch_cap():
-    # a cap of zero disables deferring even when allow_defer is set
-    model = ActionModel(allow_defer=True, max_defers_per_batch=0)
-    result = spne_solve(appendix_instance(), model)
-    assert result.final_completions[0] == F(606, 5)
