@@ -323,7 +323,7 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     return 0 if report.holds else 1
 
 
-def _expand_sweep_values(raw: str) -> list[str]:
+def _expand_sweep_values(raw: str, name: str) -> list[str]:
     values: list[str] = []
     for part in raw.split(","):
         part = part.strip()
@@ -331,7 +331,8 @@ def _expand_sweep_values(raw: str) -> list[str]:
             continue
         if ".." in part:
             lo, _, hi = part.partition("..")
-            values.extend(str(v) for v in range(int(lo), int(hi) + 1))
+            start, end = _parse_int(lo, f"{name} range start"), _parse_int(hi, f"{name} range end")
+            values.extend(str(v) for v in range(start, end + 1))
         else:
             values.append(part)
     return values
@@ -370,7 +371,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         kind = _SWEEP_PARAM_TYPES.get(name)
         if kind is None:
             raise CliError(f"unknown sweep parameter {name!r}")
-        values = _expand_sweep_values(raw)
+        values = _expand_sweep_values(raw, name)
         if not values:
             raise CliError(f"parameter {name} has an empty value list")
         if kind == "int":

@@ -98,7 +98,21 @@ class EquilibriumResult:
 #             (k, final completion tick) once done
 #   batch:    decision queue of the current tied group (job ids, front decides)
 #   defers:   defer counts aligned with batch
+#
+# The memo is keyed on the subgame a state leaves, not on the history that led
+# to it (see `_GameSolver.key`). Let t be the release of the deciding batch.
+# Every pending release is >= t and jobs only move forward, so the rest of the
+# game depends on (a) each pending job's (stage, release), (b) the machines of
+# the stages at or after the lowest pending stage, each available-at clamped
+# to max(avail, t) since max(r, avail) == max(r, max(avail, t)) for all r >= t,
+# (c) the batch and (d) the defer counts. A done job's final completion is a
+# constant of the subgame, so a memo hit takes done jobs' finals from the
+# current state and pending jobs' values from the entry. Machines are never
+# permuted or sorted: the lowest-index tie rule is not permutation-invariant.
+# Each key is first reached from one raw state that an unkeyed solver also
+# expands, so `nodes` (distinct subgames) never exceeds the raw-state count.
 _State = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]
+_Key = tuple[tuple[tuple[int, int] | None, ...], tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]
 
 
 class _GameSolver:
@@ -107,7 +121,8 @@ class _GameSolver:
         self.model = model
         self.k = instance.k
         self.scale, self.exec = time_grid(instance.sizes(), [s.speed for s in instance.stages])
-        self.memo: dict[_State, tuple[tuple[int, ...], Action]] = {}
+        self.machine_actions: list[tuple[Action, ...]] = [tuple(range(s.machines)) for s in instance.stages]
+        self.memo: dict[_Key, tuple[tuple[int, ...], Action]] = {}
         self.nodes = 0
         self.node_budget = limits.node_budget
 
@@ -128,21 +143,32 @@ class _GameSolver:
         machines, jobs, batch, defers = state
         if batch:
             return state
-        pending = [(release, stage, j) for j, (stage, release) in enumerate(jobs) if stage < self.k]
+        k = self.k
+        pending = [(release, stage) for stage, release in jobs if stage < k]
         if not pending:
             return state
-        release, stage, _ = min(pending)
-        group = tuple(j for r, st, j in sorted(pending) if r == release and st == stage)
+        release, stage = min(pending)
+        head = (stage, release)
+        group = tuple([j for j, job in enumerate(jobs) if job == head])
         return (machines, jobs, group, (0,) * len(group))
+
+    def key(self, state: _State) -> _Key:
+        """The memo key of a state with a live batch: the subgame it leaves."""
+        machines, jobs, batch, defers = state
+        k = self.k
+        t = jobs[batch[0]][1]
+        pending = tuple([job if job[0] < k else None for job in jobs])
+        low = min(jobs)[0]  # the lowest pending stage, as done jobs sit at stage k
+        # a stage with nothing to clamp keeps its tuple, shared with the state
+        avail = tuple([m if min(m) >= t else tuple([a if a > t else t for a in m]) for m in machines[low:]])
+        return (pending, avail, batch, defers)
 
     def actions(self, state: _State) -> tuple[Action, ...]:
         machines, jobs, batch, defers = state
-        j = batch[0]
-        stage = jobs[j][0]
-        acts: list[Action] = list(range(len(machines[stage])))
+        acts = self.machine_actions[jobs[batch[0]][0]]
         if self.model.allow_defer and defers[0] < len(batch) - 1:
-            acts.append(DEFER)
-        return tuple(acts)
+            return acts + (DEFER,)
+        return acts
 
     def apply(self, state: _State, action: Action) -> _State:
         machines, jobs, batch, defers = state
@@ -169,10 +195,12 @@ class _GameSolver:
         state = self.with_batch(state)
         machines, jobs, batch, defers = state
         if not batch:
-            return tuple(final for _, final in jobs)
-        hit = self.memo.get(state)
+            return tuple([final for _, final in jobs])
+        key = self.key(state)
+        hit = self.memo.get(key)
         if hit is not None:
-            return hit[0]
+            k = self.k
+            return tuple([tick if stage == k else value for (stage, tick), value in zip(jobs, hit[0])])
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise LimitsExceeded(f"game tree exceeded the node budget of {self.node_budget}")
@@ -185,14 +213,15 @@ class _GameSolver:
                 best_vec = vec
                 best_action = action
         assert best_vec is not None
-        self.memo[state] = (best_vec, best_action)
+        self.memo[key] = (best_vec, best_action)
         return best_vec
 
     def chosen_action(self, state: _State) -> Action:
         state = self.with_batch(state)
-        if state not in self.memo:
+        key = self.key(state)
+        if key not in self.memo:
             self.value(state)
-        return self.memo[state][1]
+        return self.memo[key][1]
 
     def greedy_action(self, state: _State) -> int:
         """The least-loaded, lowest-index machine for the current decider.

@@ -77,3 +77,94 @@ def list_schedule(sizes: list[Fraction], m: int, s: Fraction):
         machine_of.append(alpha)
         avail[alpha] += size / s
     return machine_of, max(avail)
+
+
+def brute_force_spne(instance: Instance, allow_defer: bool) -> dict:
+    """Subgame-perfect play of the machine-choice game by plain backward induction.
+
+    Deciders go in batches: all pending jobs sharing the earliest (ready time,
+    stage), in job-id order. The front job picks a machine (its FIFO queue
+    serves it at max(ready, machine free)) or, with `allow_defer`, swaps places
+    with the next job of the batch, at most (jobs left in the batch - 1) times.
+    Each decider minimizes its own final completion; ties go to the lowest
+    machine, defer last. Greedy play picks the earliest-free, lowest-index
+    machine and never defers. Everything is `Fraction`; the memo is keyed on the
+    whole raw state (every machine's free time, every job's stage and ready
+    time, finished jobs included, and the batch with its defer counts).
+
+    Returns the equilibrium's final completions, its per-job per-stage
+    (stage, machine, release, start, completion) records, and whether it
+    coincides with greedy play.
+    """
+    k = instance.k
+    times = [[job.size / spec.speed for spec in instance.stages] for job in instance.jobs]
+
+    def next_batch(jobs):
+        pending = [(ready, stage) for stage, ready in jobs if stage < k]
+        if not pending:
+            return ()
+        ready, stage = min(pending)
+        return tuple((j, 0) for j, job in enumerate(jobs) if job == (stage, ready))
+
+    def play(free, jobs, batch, move):
+        """One move from the state; returns the next state and the record it makes."""
+        (j, defers), rest = batch[0], batch[1:]
+        if move == "defer":
+            return free, jobs, (rest[0], (j, defers + 1)) + rest[1:], None
+        stage, ready = jobs[j]
+        start = max(ready, free[stage][move])
+        done = start + times[j][stage]
+        row = list(free[stage])
+        row[move] = done
+        free = free[:stage] + (tuple(row),) + free[stage + 1 :]
+        jobs = jobs[:j] + ((stage + 1, done),) + jobs[j + 1 :]
+        return free, jobs, rest or next_batch(jobs), (j, (stage, move, ready, start, done))
+
+    def moves(free, jobs, batch):
+        j, defers = batch[0]
+        options: list = list(range(len(free[jobs[j][0]])))
+        if allow_defer and defers < len(batch) - 1:
+            options.append("defer")
+        return options
+
+    memo: dict = {}
+
+    def solve(free, jobs, batch):
+        """(finals, equilibrium records made from here on)."""
+        if not batch:
+            return [ready for _, ready in jobs], []
+        if (free, jobs, batch) in memo:
+            return memo[free, jobs, batch]
+        j = batch[0][0]
+        best = None
+        for move in moves(free, jobs, batch):
+            *state, record = play(free, jobs, batch, move)
+            finals, records = solve(*state)
+            if best is None or finals[j] < best[0][j]:
+                best = (finals, ([record] if record else []) + records)
+        memo[free, jobs, batch] = best
+        return best
+
+    def greedy(free, jobs, batch):
+        records = []
+        while batch:
+            row = free[jobs[batch[0][0]][0]]
+            free, jobs, batch, record = play(free, jobs, batch, row.index(min(row)))
+            records.append(record)
+        return records
+
+    def by_job(records):
+        rows = [[] for _ in instance.jobs]
+        for j, record in records:
+            rows[j].append(record)
+        return rows
+
+    jobs = ((0, Fraction(0)),) * instance.n
+    start = (tuple((Fraction(0),) * spec.machines for spec in instance.stages), jobs, next_batch(jobs))
+    finals, records = solve(*start)
+    equilibrium = by_job(records)
+    return {
+        "final_completions": tuple(finals),
+        "records": equilibrium,
+        "greedy_is_spne_outcome": equilibrium == by_job(greedy(*start)),
+    }

@@ -251,6 +251,13 @@ class TestSweep:
         assert code == 2
         assert "empty value list" in err
 
+    @pytest.mark.parametrize("spec", ["seed=a..b", "seed=0..x", "n=1/2..3"])
+    def test_bad_range_is_an_error(self, capsys, spec):
+        code, out, err = run_cli(capsys, ["sweep", "--family", "random", "--param", spec, "--ops", "greedy"])
+        assert code == 2
+        assert err.startswith("error:") and "must be an integer" in err
+        assert "Traceback" not in err and out == ""
+
     def test_empty_ops_is_an_error(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--family", "appendix", "--ops", ""])
         assert code == 2
