@@ -11,9 +11,10 @@ greedy makespan against the optimal one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exact import (
     DEFAULT_LIMITS,
@@ -23,8 +24,8 @@ from .exact import (
     optimal_makespan,
     single_stage_optimal,
 )
-from .greedy import greedy_schedule, release_order
-from .model import Instance, Scalar, ScheduleTrace, format_decimal, format_scalar
+from .greedy import greedy_schedule
+from .model import Instance, Scalar, ScheduleTrace, StageSpec, format_decimal, format_scalar, format_ticks
 
 __all__ = [
     "AnalysisError",
@@ -62,10 +63,10 @@ class SigmaPermutation:
         return tuple(inv)
 
 
-def sigma_permutation(completions: Sequence[Scalar], stage: int = 0) -> SigmaPermutation:
+def sigma_permutation(completions: Sequence[Scalar | int], stage: int = 0) -> SigmaPermutation:
     """Sort job ids by (completion, id) for one stage's completion vector."""
-    order = tuple(sorted(range(len(completions)), key=lambda j: (completions[j], j)))
-    return SigmaPermutation(stage, order)
+    # sorted() is stable and range() ascends, so equal completions keep id order
+    return SigmaPermutation(stage, tuple(sorted(range(len(completions)), key=completions.__getitem__)))
 
 
 @dataclass(frozen=True)
@@ -85,50 +86,71 @@ class BoundRow:
         return self.lhs <= self.rhs
 
 
+# A row on the report's grid: (label, lhs, rhs), both sides in ticks of 1/scale.
+GridRow = tuple[str, int, int]
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """Evaluation of an inequality family on a trace; failures are data."""
+    """Evaluation of an inequality family on a trace; failures are data.
+
+    Every value the report compares is a multiple of 1/`scale`, so its rows are
+    kept on that grid as `grid` and compared as ints; `rows` builds the
+    `BoundRow`s with `Fraction` sides on demand.
+    """
 
     inequality: str
     stage: int | None
-    rows: tuple[BoundRow, ...]
+    grid: tuple[GridRow, ...]
+    scale: int
     params: dict
     minimal_t: Scalar | None = None
 
+    def _row(self, label: str, lhs: int, rhs: int) -> BoundRow:
+        return BoundRow(label, Fraction(lhs, self.scale), Fraction(rhs, self.scale))
+
+    @property
+    def rows(self) -> tuple[BoundRow, ...]:
+        return tuple(self._row(*row) for row in self.grid)
+
     @property
     def holds(self) -> bool:
-        return all(row.holds for row in self.rows)
+        return all(lhs <= rhs for _, lhs, rhs in self.grid)
 
     @property
     def min_slack(self) -> Scalar:
-        return min(row.slack for row in self.rows)
+        return Fraction(min(rhs - lhs for _, lhs, rhs in self.grid), self.scale)
 
     def failures(self) -> list[BoundRow]:
-        return [row for row in self.rows if not row.holds]
+        return [self._row(*row) for row in self.grid if row[1] > row[2]]
 
     def to_json(self, precision: int = 6) -> dict:
+        scale = self.scale
+        min_slack = self.min_slack
         return {
             "inequality": self.inequality,
             "stage": self.stage,
             "holds": self.holds,
-            "min_slack": format_scalar(self.min_slack),
-            "min_slack_decimal": format_decimal(self.min_slack, precision),
+            "min_slack": format_scalar(min_slack),
+            "min_slack_decimal": format_decimal(min_slack, precision),
             "minimal_t": None if self.minimal_t is None else format_scalar(self.minimal_t),
             "params": {k: format_scalar(v) if isinstance(v, Fraction) else v for k, v in self.params.items()},
             "rows": [
                 {
-                    "label": row.label,
-                    "lhs": format_scalar(row.lhs),
-                    "rhs": format_scalar(row.rhs),
-                    "slack": format_scalar(row.slack),
-                    "holds": row.holds,
+                    "label": label,
+                    "lhs": format_ticks(lhs, scale),
+                    "rhs": format_ticks(rhs, scale),
+                    "slack": format_ticks(rhs - lhs, scale),
+                    "holds": lhs <= rhs,
                 }
-                for row in self.rows
+                for label, lhs, rhs in self.grid
             ],
         }
 
 
 def _check_ms_star(instance: Instance, stage: int, ms_star: Scalar) -> None:
+    if not 0 <= stage < instance.k:
+        raise AnalysisError(f"stage {stage} out of range [0, {instance.k})")
     spec = instance.stages[stage]
     if ms_star <= 0:
         raise AnalysisError(f"rate parameter must be positive, got {ms_star}")
@@ -139,33 +161,70 @@ def _check_ms_star(instance: Instance, stage: int, ms_star: Scalar) -> None:
         )
 
 
-def _stage_rows(
-    instance: Instance, trace: ScheduleTrace, stage: int, t_offset: Scalar, ms_star: Scalar, label: str = ""
-) -> tuple[list[BoundRow], list[BoundRow], Scalar]:
-    """One stage's premise rows, completion rows (release, then sorted order) and minimal_t."""
-    spec = instance.stages[stage]
-    p_max = max(job.size for job in instance.jobs)
-    head = t_offset + Fraction(2 * spec.machines - 1, 1) / (spec.machines * spec.speed) * p_max
-    premise: list[BoundRow] = []
-    completion: list[BoundRow] = []
-    prefix = Fraction(0)
-    minimal_t = Fraction(0)
-    for rank, j in enumerate(release_order(trace, stage)):
-        record = trace.records[j][stage]
-        share = prefix / ms_star
-        tag = f"j={rank + 1} (job {j})"
-        premise.append(BoundRow(f"{label}release {tag}", record.release, t_offset + share))
-        completion.append(BoundRow(f"{label}completion {tag}", record.completion, head + share))
-        need = record.release - share
-        if need > minimal_t:
-            minimal_t = need
-        prefix += instance.jobs[j].size
-    prefix = Fraction(0)
-    for rank, j in enumerate(sigma_permutation(trace.completions(stage), stage).order):
-        lhs, rhs = trace.records[j][stage].completion, head + prefix / ms_star
-        completion.append(BoundRow(f"{label}sorted completion j={rank + 1} (job {j})", lhs, rhs))
-        prefix += instance.jobs[j].size
-    return premise, completion, minimal_t
+def _head(spec: StageSpec, t_offset: Scalar, p_max: Scalar) -> Scalar:
+    """T + ((2m-1)/(m*s))*p_max: the completion bound's constant term on a stage."""
+    return t_offset + Fraction(2 * spec.machines - 1, 1) / (spec.machines * spec.speed) * p_max
+
+
+def _ticks(values: Iterable[Scalar], scale: int) -> list[int]:
+    """Each value in ticks of 1/scale; scale is a multiple of every denominator."""
+    return [value.numerator * (scale // value.denominator) for value in values]
+
+
+class _Grid:
+    """One report's common denominator `scale` and the trace's times on it.
+
+    `scale` is the lcm of the denominators of the trace's release and
+    completion times at `stages`, of every job's size/rate (so every prefix
+    share is a sum of ints) and of `extra` (offsets, heads, final bounds).
+    """
+
+    def __init__(
+        self, instance: Instance, trace: ScheduleTrace, stages: Iterable[int], rate: Scalar, extra: Iterable[Scalar]
+    ):
+        shares = [job.size / rate for job in instance.jobs]
+        times = [t for row in trace.records for i in stages for t in (row[i].release, row[i].completion)]
+        self.trace = trace
+        self.scale = math.lcm(*{value.denominator for value in (*extra, *shares, *times)})
+        self.shares = _ticks(shares, self.scale)
+
+    def stage_rows(
+        self, stage: int, t_offset: Scalar, head: Scalar, label: str = ""
+    ) -> tuple[list[GridRow], list[GridRow], int]:
+        """One stage's premise rows, completion rows (release, then sorted order) and minimal_t.
+
+        Premise: r_j <= T + share_j; completion: c_j <= head + share_j, where
+        share_j is (1/rate) times the sizes ranked ahead of j in the row's order.
+        """
+        scale, shares = self.scale, self.shares
+        releases = _ticks((row[stage].release for row in self.trace.records), scale)
+        completions = _ticks((row[stage].completion for row in self.trace.records), scale)
+        t, h = _ticks((t_offset, head), scale)
+        premise: list[GridRow] = []
+        completion: list[GridRow] = []
+        prefix = minimal_t = 0
+        for rank, j in enumerate(sigma_permutation(releases, stage).order, 1):
+            release = releases[j]
+            tag = f"j={rank} (job {j})"
+            premise.append((f"{label}release {tag}", release, t + prefix))
+            completion.append((f"{label}completion {tag}", completions[j], h + prefix))
+            if release - prefix > minimal_t:
+                minimal_t = release - prefix
+            prefix += shares[j]
+        prefix = 0
+        for rank, j in enumerate(sigma_permutation(completions, stage).order, 1):
+            completion.append((f"{label}sorted completion j={rank} (job {j})", completions[j], h + prefix))
+            prefix += shares[j]
+        return premise, completion, minimal_t
+
+
+def _stage_report(
+    instance: Instance, trace: ScheduleTrace, stage: int, t_offset: Scalar, ms_star: Scalar
+) -> tuple[_Grid, list[GridRow], list[GridRow], int]:
+    _check_ms_star(instance, stage, ms_star)
+    head = _head(instance.stages[stage], t_offset, max(job.size for job in instance.jobs))
+    grid = _Grid(instance, trace, (stage,), ms_star, (t_offset, head))
+    return (grid, *grid.stage_rows(stage, t_offset, head))
 
 
 def check_release_premise(
@@ -180,11 +239,12 @@ def check_release_premise(
     Also reports the minimal T that would make the premise hold, which is what
     stage-to-stage chaining needs.
     """
-    _check_ms_star(instance, stage, ms_star)
-    rows, _, minimal_t = _stage_rows(instance, trace, stage, t_offset, ms_star)
+    grid, rows, _, minimal_t = _stage_report(instance, trace, stage, t_offset, ms_star)
     spec = instance.stages[stage]
     params = {"T": t_offset, "ms_star": ms_star, "m": spec.machines, "s": spec.speed}
-    return BoundReport("release-premise", stage, tuple(rows), params, minimal_t)
+    return BoundReport(
+        "release-premise", stage, tuple(rows), grid.scale, params, Fraction(minimal_t, grid.scale)
+    )
 
 
 def check_completion_bound(
@@ -199,13 +259,13 @@ def check_completion_bound(
     Refuses (raises) when the release premise does not hold for the given
     offset: the conclusion would be vacuous, not verified.
     """
-    _check_ms_star(instance, stage, ms_star)
-    premise_rows, rows, _ = _stage_rows(instance, trace, stage, t_offset, ms_star)
-    bad = [row for row in premise_rows if not row.holds]
-    if bad:
+    grid, premise_rows, rows, _ = _stage_report(instance, trace, stage, t_offset, ms_star)
+    bad = next((row for row in premise_rows if row[1] > row[2]), None)
+    if bad is not None:
+        label, lhs, rhs = bad
         raise AnalysisError(
-            f"release premise fails at stage {stage} ({bad[0].label}: "
-            f"{bad[0].lhs} > {bad[0].rhs}); completion bound not applicable"
+            f"release premise fails at stage {stage} ({label}: "
+            f"{Fraction(lhs, grid.scale)} > {Fraction(rhs, grid.scale)}); completion bound not applicable"
         )
     spec = instance.stages[stage]
     params = {
@@ -215,7 +275,7 @@ def check_completion_bound(
         "m": spec.machines,
         "s": spec.speed,
     }
-    return BoundReport("completion-bound", stage, tuple(rows), params)
+    return BoundReport("completion-bound", stage, tuple(rows), grid.scale, params)
 
 
 def check_multistage_chain(
@@ -244,35 +304,32 @@ def check_multistage_chain(
         )
     p_max = max(job.size for job in instance.jobs)
     m_max = max(s.machines for s in instance.stages)
-    rows: list[BoundRow] = []
+    # offsets[i] is stage i's T; the next stage's T is this stage's head
     offsets = [Fraction(0)]
-    t = Fraction(0)
-    for stage in range(instance.k):
-        spec = instance.stages[stage]
-        premise_rows, completion_rows, _ = _stage_rows(instance, trace, stage, t, rate, f"stage {stage}: ")
-        rows += premise_rows + completion_rows
-        t += Fraction(2 * spec.machines - 1, 1) / (spec.machines * spec.speed) * p_max
-        offsets.append(t)
-    final_stage = instance.k - 1
-    sigma = sigma_permutation(trace.completions(final_stage), final_stage)
-    tail = sum((instance.jobs[j].size for j in sigma.order[:-1]), Fraction(0))
-    rows.append(BoundRow("makespan vs accumulated bound", trace.makespan, t + tail / rate))
+    for spec in instance.stages:
+        offsets.append(_head(spec, offsets[-1], p_max))
     path, bottleneck = opt_lower_bounds(instance)
     factor = 2 - Fraction(1, m_max)
-    rows.append(
-        BoundRow("makespan vs scaled opt lower bounds", trace.makespan, factor * path + bottleneck)
-    )
-    rows.append(
-        BoundRow(
-            "makespan vs ratio ceiling * best opt lower bound",
-            trace.makespan,
-            (factor + 1) * max(path, bottleneck),
-        )
-    )
+    finals = [
+        ("makespan vs scaled opt lower bounds", factor * path + bottleneck),
+        ("makespan vs ratio ceiling * best opt lower bound", (factor + 1) * max(path, bottleneck)),
+    ]
     if opt_makespan is not None:
-        rows.append(
-            BoundRow("makespan vs ratio ceiling * optimum", trace.makespan, (factor + 1) * opt_makespan)
+        finals.append(("makespan vs ratio ceiling * optimum", (factor + 1) * opt_makespan))
+    ends = [trace.makespan, *(rhs for _, rhs in finals)]
+    grid = _Grid(instance, trace, range(instance.k), rate, [*offsets, *ends])
+    rows: list[GridRow] = []
+    for stage in range(instance.k):
+        premise_rows, completion_rows, _ = grid.stage_rows(
+            stage, offsets[stage], offsets[stage + 1], f"stage {stage}: "
         )
+        rows += premise_rows
+        rows += completion_rows
+    makespan, *bounds = _ticks(ends, grid.scale)
+    # the final stage's last sorted-completion row bounds its latest completion
+    # by T_k plus (1/rate) times the sizes of every job sorted ahead of it
+    rows.append(("makespan vs accumulated bound", makespan, rows[-1][2]))
+    rows += [(label, makespan, bound) for (label, _), bound in zip(finals, bounds)]
     params = {
         "ms_star": rate,
         "p_max": p_max,
@@ -282,7 +339,7 @@ def check_multistage_chain(
         "offsets": tuple(format_scalar(x) for x in offsets),
         "makespan": trace.makespan,
     }
-    return BoundReport("stage-chain", None, tuple(rows), params)
+    return BoundReport("stage-chain", None, tuple(rows), grid.scale, params)
 
 
 @dataclass(frozen=True)

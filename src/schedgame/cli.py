@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -141,7 +143,8 @@ def _build_family_instance(family: str, params: dict) -> Instance:
                 params["k"],
                 params.get("bottleneck", 0),
                 params["m_max"],
-                params.get("others", (1,) * (params["k"] - 1)),
+                # lazy, so an oversized k is refused by the generator before it is built
+                params.get("others", itertools.repeat(1, params["k"] - 1)),
                 params.get("fast_speed", Fraction(10**6)),
             )
         if family == "appendix":
@@ -503,8 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if not 0 <= args.precision <= MAX_SCALAR_DIGITS:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import Instance, Scalar, format_scalar
+from .model import Instance, Scalar, check_instance_size, format_scalar
 
 __all__ = [
     "SplitMix64",
@@ -55,6 +55,7 @@ def gen_single_stage_worst(m: int, s: Scalar | int = 1) -> Instance:
     s = Fraction(s)
     if s <= 0:
         raise ValueError("speed must be positive")
+    check_instance_size(m * (m - 1) + 1, 1)
     sizes: list = [1] * (m * (m - 1)) + [m]
     return Instance.from_sizes(
         sizes, [(m, s)], family=f"single-stage-worst(m={m},s={format_scalar(s)})"
@@ -79,6 +80,7 @@ def gen_multistage_worst(
         raise ValueError(f"stage count must be an int >= 1, got {k!r}")
     if not isinstance(m_max, int) or m_max < 2:
         raise ValueError(f"bottleneck machine count must be an int >= 2, got {m_max!r}")
+    check_instance_size(m_max * (m_max - 1) + 1, k)
     if not 0 <= bottleneck < k:
         raise ValueError(f"bottleneck index {bottleneck} out of range [0, {k})")
     others = tuple(other_machine_counts)
@@ -162,6 +164,7 @@ def gen_random(
     m_lo, m_hi = machine_range
     if m_lo < 1 or m_hi < m_lo:
         raise ValueError(f"invalid machine range [{m_lo}, {m_hi}]")
+    check_instance_size(n, k)
     rng = SplitMix64(seed)
     stages = []
     for _ in range(k):

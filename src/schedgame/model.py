@@ -28,6 +28,12 @@ ZERO = Fraction(0)
 # huge integer is built.
 MAX_SCALAR_DIGITS = 100
 _INT_LIMIT = 10**MAX_SCALAR_DIGITS
+# Most machines per stage, jobs and stages an instance may declare. Kernels
+# allocate per machine and per job-stage record, so the caps refuse a tiny
+# input such as `"machines": 10**9` before anything that size is built.
+MAX_MACHINES = 10**6
+MAX_JOBS = 10**6
+MAX_STAGES = 10**3
 # Most bits the time grid's lcm L may have (about 2466 digits). L multiplies
 # the denominators of every size/speed (50 distinct 98-digit ones give 4809
 # digits); the cap leaves over 1800 digits below the 4300-digit limit for the
@@ -41,6 +47,18 @@ class ModelError(ValueError):
 
 class InstanceError(ModelError):
     """The instance description is malformed."""
+
+
+def check_instance_size(jobs: int, stages: int) -> None:
+    """Refuse more than MAX_JOBS jobs or MAX_STAGES stages with an InstanceError.
+
+    `Instance` runs it on every instance; generators run it on the counts they
+    are asked for before building the jobs.
+    """
+    if jobs > MAX_JOBS:
+        raise InstanceError(f"instance has {jobs} jobs (cap {MAX_JOBS})")
+    if stages > MAX_STAGES:
+        raise InstanceError(f"instance has {stages} stages (cap {MAX_STAGES})")
 
 
 class PlanError(ModelError):
@@ -88,6 +106,17 @@ def format_scalar(value: Scalar) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def format_ticks(ticks: int, scale: int) -> str:
+    """Render ticks/scale (scale > 0) exactly as format_scalar(Fraction(ticks, scale)).
+
+    One gcd reduces the pair, which is all the rendering needs.
+    """
+    g = math.gcd(ticks, scale)
+    if g == scale:
+        return str(ticks // scale)
+    return f"{ticks // g}/{scale // g}"
+
+
 def format_decimal(value: Scalar, precision: int = 6) -> str:
     """Correctly rounded decimal rendering of an exact rational.
 
@@ -131,6 +160,8 @@ class StageSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.machines, int) or isinstance(self.machines, bool) or self.machines < 1:
             raise InstanceError(f"stage machine count must be an int >= 1, got {self.machines!r}")
+        if self.machines > MAX_MACHINES:
+            raise InstanceError(f"stage has {self.machines} machines (cap {MAX_MACHINES})")
         if not isinstance(self.speed, Fraction) or self.speed <= 0:
             raise InstanceError("stage speed must be a positive rational")
 
@@ -152,6 +183,7 @@ class Instance:
             raise InstanceError("instance needs at least one job")
         if not self.stages:
             raise InstanceError("instance needs at least one stage")
+        check_instance_size(len(self.jobs), len(self.stages))
         ids = [job.id for job in self.jobs]
         if ids != list(range(len(self.jobs))):
             raise InstanceError(f"job ids must be 0..n-1 in order, got {ids}")

@@ -168,3 +168,107 @@ def brute_force_spne(instance: Instance, allow_defer: bool) -> dict:
         "records": equilibrium,
         "greedy_is_spne_outcome": equilibrium == by_job(greedy(*start)),
     }
+
+
+def naive_stage(instance: Instance, trace, stage: int, offset: Fraction, rate: Fraction, label: str = ""):
+    """One stage's bound rows straight from the paper's formulas, in `Fraction`s.
+
+    With arrivals ranked by (release, id) and P_j the sizes ranked ahead of
+    job j: premise r_j <= T + P_j/rate, completion c_j <= T + (2m-1)/(m*s) *
+    p_max + P_j/rate; then the same completion bound with the completions
+    re-ranked by (completion, id). Returns (premise rows, completion rows,
+    the least T >= 0 that satisfies every premise row), rows as (label, lhs,
+    rhs) triples.
+    """
+    spec = instance.stages[stage]
+    sizes = [job.size for job in instance.jobs]
+    release = [trace.records[j][stage].release for j in range(instance.n)]
+    completion = [trace.records[j][stage].completion for j in range(instance.n)]
+    head = offset + Fraction(2 * spec.machines - 1, spec.machines) / spec.speed * max(sizes)
+
+    def ahead(order, rank):
+        return sum((sizes[l] for l in order[:rank]), Fraction(0)) / rate
+
+    arrivals = sorted(range(instance.n), key=lambda j: (release[j], j))
+    finished = sorted(range(instance.n), key=lambda j: (completion[j], j))
+    premise = [
+        (f"{label}release j={r + 1} (job {j})", release[j], offset + ahead(arrivals, r))
+        for r, j in enumerate(arrivals)
+    ]
+    completion_rows = [
+        (f"{label}completion j={r + 1} (job {j})", completion[j], head + ahead(arrivals, r))
+        for r, j in enumerate(arrivals)
+    ] + [
+        (f"{label}sorted completion j={r + 1} (job {j})", completion[j], head + ahead(finished, r))
+        for r, j in enumerate(finished)
+    ]
+    minimal_t = max([Fraction(0)] + [release[j] - ahead(arrivals, r) for r, j in enumerate(arrivals)])
+    return premise, completion_rows, minimal_t
+
+
+def naive_chain(instance: Instance, trace, opt_makespan=None, ms_star=None):
+    """The stage-chain rows and params from the paper's formulas, in `Fraction`s.
+
+    Stage i is checked at offset T_i = sum_{l<i} (2m_l-1)/(m_l*s_l) * p_max;
+    the final rows bound the makespan by T_k plus the sizes of all but the
+    last-finishing job over the rate, by (2 - 1/m_max) * path + bottleneck,
+    and by (3 - 1/m_max) times the best lower bound (and the optimum, if
+    given). Returns (rows, params) with rows as (label, lhs, rhs) triples.
+    """
+    sizes = [job.size for job in instance.jobs]
+    rate = min(s.machines * s.speed for s in instance.stages) if ms_star is None else ms_star
+    p_max = max(sizes)
+    m_max = max(s.machines for s in instance.stages)
+    offsets = [Fraction(0)]
+    for spec in instance.stages:
+        offsets.append(offsets[-1] + Fraction(2 * spec.machines - 1, spec.machines) / spec.speed * p_max)
+    rows = []
+    for i in range(instance.k):
+        premise, completion, _ = naive_stage(instance, trace, i, offsets[i], rate, f"stage {i}: ")
+        rows += premise + completion
+    last = [trace.records[j][-1].completion for j in range(instance.n)]
+    finished = sorted(range(instance.n), key=lambda j: (last[j], j))
+    path = sum((p_max / s.speed for s in instance.stages), Fraction(0))
+    bottleneck = sum(sizes, Fraction(0)) / min(s.machines * s.speed for s in instance.stages)
+    factor = 2 - Fraction(1, m_max)
+    makespan = trace.makespan
+    rows.append(("makespan vs accumulated bound", makespan,
+                 offsets[-1] + sum((sizes[j] for j in finished[:-1]), Fraction(0)) / rate))
+    rows.append(("makespan vs scaled opt lower bounds", makespan, factor * path + bottleneck))
+    rows.append(("makespan vs ratio ceiling * best opt lower bound", makespan,
+                 (3 - Fraction(1, m_max)) * max(path, bottleneck)))
+    if opt_makespan is not None:
+        rows.append(("makespan vs ratio ceiling * optimum", makespan, (3 - Fraction(1, m_max)) * opt_makespan))
+    params = {
+        "ms_star": rate,
+        "p_max": p_max,
+        "m_max": m_max,
+        "path_bound": path,
+        "bottleneck_bound": bottleneck,
+        "offsets": tuple(str(t) for t in offsets),
+        "makespan": makespan,
+    }
+    return rows, params
+
+
+def naive_report_json(inequality, stage, rows, params, minimal_t=None, precision=6) -> dict:
+    """The JSON a bound report renders for `rows`, from `str(Fraction)` ("a" or "a/b").
+
+    Only the one decimal field borrows the package's `format_decimal`.
+    """
+    from schedgame import format_decimal
+
+    min_slack = min(rhs - lhs for _, lhs, rhs in rows)
+    return {
+        "inequality": inequality,
+        "stage": stage,
+        "holds": all(lhs <= rhs for _, lhs, rhs in rows),
+        "min_slack": str(min_slack),
+        "min_slack_decimal": format_decimal(min_slack, precision),
+        "minimal_t": None if minimal_t is None else str(minimal_t),
+        "params": {k: str(v) if isinstance(v, Fraction) else v for k, v in params.items()},
+        "rows": [
+            {"label": label, "lhs": str(lhs), "rhs": str(rhs), "slack": str(rhs - lhs), "holds": lhs <= rhs}
+            for label, lhs, rhs in rows
+        ],
+    }

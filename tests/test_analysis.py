@@ -1,16 +1,20 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from helpers import naive_chain, naive_report_json, naive_stage
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schedgame import (
     AnalysisError,
     BoundRow,
     Instance,
+    ScheduleTrace,
+    StageRecord,
     check_completion_bound,
     check_multistage_chain,
     check_release_premise,
+    evaluate_schedule,
     gen_multistage_worst,
     gen_random,
     gen_single_stage_worst,
@@ -81,6 +85,13 @@ class TestReleasePremise:
         inst, trace = appendix_greedy()
         with pytest.raises(AnalysisError):
             check_release_premise(inst, trace, 1, F(0), bad)
+
+    @pytest.mark.parametrize("stage", [-1, 3])
+    def test_rejects_stage_out_of_range(self, stage):
+        inst, trace = appendix_greedy()
+        for check in (check_release_premise, check_completion_bound):
+            with pytest.raises(AnalysisError, match="out of range"):
+                check(inst, trace, stage, F(0), F(1, 10))
 
 
 class TestCompletionBound:
@@ -194,6 +205,91 @@ class TestMultistageChain:
         assert check_multistage_chain(inst, trace, ms_star=F(1, 20)).holds
         with pytest.raises(AnalysisError):
             check_multistage_chain(inst, trace, ms_star=F(1, 5))
+
+
+times = st.fractions(min_value=0, max_value=20, max_denominator=97)
+
+
+@st.composite
+def checked_traces(draw):
+    """An instance and a trace to check: greedy, a random plan's, or hand-built off the grid."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    inst = gen_random(n, k, seed=draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["greedy", "plan", "off-grid"]))
+    if kind == "greedy":
+        return inst, greedy_schedule(inst)[0]
+    if kind == "plan":
+        plan = []
+        for spec in inst.stages:
+            queues: dict[int, int] = {}
+            stage = [None] * n
+            for j in draw(st.permutations(range(n))):
+                machine = draw(st.integers(0, spec.machines - 1))
+                stage[j] = (machine, queues.get(machine, 0))
+                queues[machine] = queues.get(machine, 0) + 1
+            plan.append(stage)
+        return inst, evaluate_schedule(inst, plan)
+    records = []
+    for _ in range(n):
+        row, release = [], draw(times)
+        for i in range(k):
+            start = release + draw(times)
+            completion = start + draw(times)
+            row.append(StageRecord(i, 0, release, start, completion))
+            release = completion
+        records.append(tuple(row))
+    return inst, ScheduleTrace(tuple(records), max(row[-1].completion for row in records))
+
+
+class TestNaiveOracle:
+    """Every checker against `helpers.naive_chain` / `naive_stage` (plain Fractions)."""
+
+    @settings(max_examples=150)
+    @given(
+        checked_traces(),
+        st.none() | st.fractions(min_value=F(1, 20), max_value=1, max_denominator=20),
+        st.none() | st.fractions(min_value=F(1, 2), max_value=200, max_denominator=30),
+        st.integers(0, 8),
+    )
+    def test_chain_matches_oracle(self, case, rate_share, opt, precision):
+        inst, trace = case
+        bottleneck = min(s.machines * s.speed for s in inst.stages)
+        ms_star = None if rate_share is None else bottleneck * rate_share
+        report = check_multistage_chain(inst, trace, opt, ms_star)
+        rows, params = naive_chain(inst, trace, opt, ms_star)
+        assert [(row.label, row.lhs, row.rhs) for row in report.rows] == rows
+        assert [row.slack for row in report.rows] == [rhs - lhs for _, lhs, rhs in rows]
+        assert [row.holds for row in report.rows] == [lhs <= rhs for _, lhs, rhs in rows]
+        assert report.holds == all(lhs <= rhs for _, lhs, rhs in rows)
+        assert report.min_slack == min(rhs - lhs for _, lhs, rhs in rows)
+        assert report.failures() == [BoundRow(*row) for row in rows if row[1] > row[2]]
+        assert report.params == params
+        assert report.minimal_t is None
+        assert report.to_json(precision) == naive_report_json("stage-chain", None, rows, params, None, precision)
+
+    @settings(max_examples=100)
+    @given(checked_traces(), st.fractions(min_value=F(1, 20), max_value=1, max_denominator=20), times)
+    def test_stage_checkers_match_oracle(self, case, rate_share, offset):
+        inst, trace = case
+        rate = min(s.machines * s.speed for s in inst.stages) * rate_share
+        p_max = max(job.size for job in inst.jobs)
+        for i, spec in enumerate(inst.stages):
+            premise, completion, minimal_t = naive_stage(inst, trace, i, offset, rate)
+            report = check_release_premise(inst, trace, i, offset, rate)
+            assert [(row.label, row.lhs, row.rhs) for row in report.rows] == premise
+            assert report.minimal_t == minimal_t
+            assert report.min_slack == min(rhs - lhs for _, lhs, rhs in premise)
+            params = {"T": offset, "ms_star": rate, "m": spec.machines, "s": spec.speed}
+            assert report.to_json() == naive_report_json("release-premise", i, premise, params, minimal_t)
+            if not report.holds:
+                with pytest.raises(AnalysisError, match="premise"):
+                    check_completion_bound(inst, trace, i, offset, rate)
+                continue
+            report = check_completion_bound(inst, trace, i, offset, rate)
+            assert [(row.label, row.lhs, row.rhs) for row in report.rows] == completion
+            assert report.failures() == [BoundRow(*row) for row in completion if row[1] > row[2]]
+            params = {"T": offset, "ms_star": rate, "p_max": p_max, "m": spec.machines, "s": spec.speed}
+            assert report.to_json() == naive_report_json("completion-bound", i, completion, params)
 
 
 class TestPriceOfAnarchy:

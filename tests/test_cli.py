@@ -1,11 +1,15 @@
 import io
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from schedgame import Instance, gen_appendix_example
+from schedgame import cli
 from schedgame.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, argv, stdin: str | None = None, monkeypatch=None):
@@ -207,7 +211,30 @@ class TestVerifyBounds:
         assert any(not row["holds"] for row in payload["rows"])
 
 
+    @pytest.mark.parametrize(
+        "argv, expected, code",
+        [
+            (["-i", "appendix.json"], "verify_bounds_appendix.json", 0),
+            (["-i", "appendix.json", "--with-opt"], "verify_bounds_appendix_with_opt.json", 0),
+            (
+                ["-i", "appendix.json", "--plan", "appendix_big_job_first_plan.json"],
+                "verify_bounds_appendix_big_job_first.json",
+                1,
+            ),
+        ],
+    )
+    def test_output_is_byte_identical_to_golden(self, capsys, argv, expected, code):
+        # the big-job-first plan serves job 0 before job 1 at the slow last stage
+        argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+        assert run_cli(capsys, ["verify-bounds", *argv]) == (code, (GOLDEN / expected).read_text(), "")
+
+
 class TestSweep:
+    def test_golden_csv(self, capsys):
+        argv = ["sweep", "--family", "random", "--param", "seed=0..7", "--param", "n=2,4,7",
+                "--param", "k=1..3", "--ops", "greedy,poa,verify-bounds"]
+        assert run_cli(capsys, argv) == (0, (GOLDEN / "sweep_random_verify_bounds.csv").read_text(), "")
+
     def test_worst_family_grid(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -301,3 +328,69 @@ class TestUsageErrors:
         assert code == 2
         assert "error:" in err
         assert "Traceback" not in err and out == ""
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_fresh_parser(self, capsys, monkeypatch, tmp_path):
+        path = write_instance(tmp_path, gen_appendix_example())
+        calls = [
+            ["spne", "-i", path, "--no-defer"],
+            ["spne", "-i", path],
+            ["simulate", "--bogus"],
+            ["verify-bounds", "-i", path, "--precision", "3"],
+            ["poa", "-i", path, "--precision", "101"],
+            ["simulate", "-i", path, "--format", "csv"],
+            ["poa", "-i", path],
+        ]
+        reused = [run_cli(capsys, argv) for argv in calls]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser on every call
+        fresh = [run_cli(capsys, argv) for argv in calls]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 2, 0, 2, 0, 0]
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        builds = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run_cli(capsys, ["generate", "--family", "appendix"])[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+
+class TestInputCaps:
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            '{"stages":[{"machines":1000000000,"speed":"1"}],"jobs":[{"size":"1"}]}',
+            '{"stages":[{"machines":%d,"speed":"1"}],"jobs":[{"size":"1"}]}' % 10**99,
+            '{"stages":[%s],"jobs":[{"size":"1"}]}' % ",".join(['{"machines":1,"speed":"1"}'] * 1001),
+        ],
+        ids=["machines-1e9", "machines-1e99", "stages-1001"],
+    )
+    def test_oversized_instance_is_an_input_error(self, capsys, monkeypatch, raw):
+        code, out, err = run_cli(capsys, ["simulate"], stdin=raw, monkeypatch=monkeypatch)
+        assert code == 2
+        assert err.startswith("error: invalid instance:") and "cap" in err
+        assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "single-stage-worst", "--m", "1001"],
+            ["--family", "single-stage-worst", "--m", str(10**9)],
+            ["--family", "multi-stage-worst", "--k", str(10**9), "--m-max", "3"],
+            ["--family", "random", "--n", str(10**6 + 1), "--k", "1"],
+            ["--family", "random", "--n", "1", "--k", "1001"],
+            ["--family", "random", "--n", "1", "--k", "1", "--machine-range", f"1:{10**9}", "--seed", "3"],
+        ],
+        ids=["worst-m1001", "worst-m1e9", "multi-k1e9", "random-n", "random-k", "random-machines"],
+    )
+    def test_oversized_family_is_refused_before_it_is_built(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["generate", *argv])
+        assert code == 2
+        assert err.startswith("error: invalid parameters for family") and "cap" in err
+        assert out == ""

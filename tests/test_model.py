@@ -18,7 +18,15 @@ from schedgame import (
     parse_scalar,
     validate_trace,
 )
-from schedgame.model import queues_to_plan, trace_queues, trace_to_csv, trace_to_json
+from schedgame.model import (
+    MAX_MACHINES,
+    MAX_STAGES,
+    format_ticks,
+    queues_to_plan,
+    trace_queues,
+    trace_to_csv,
+    trace_to_json,
+)
 
 small_fractions = st.fractions(min_value=F(1, 8), max_value=10, max_denominator=8)
 
@@ -75,6 +83,15 @@ class TestFormatting:
         assert error <= F(1, 2 * 10**precision)
 
 
+    @given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+    def test_format_ticks_matches_format_scalar(self, ticks, scale):
+        assert format_ticks(ticks, scale) == format_scalar(F(ticks, scale))
+
+    @pytest.mark.parametrize("ticks, scale", [(0, 7), (14, 7), (-14, 7), (3, 6), (-3, 6), (5, 1), (6, 4)])
+    def test_format_ticks_examples(self, ticks, scale):
+        assert format_ticks(ticks, scale) == format_scalar(F(ticks, scale))
+
+
 class TestInstanceValidation:
     def test_rejects_empty(self):
         with pytest.raises(InstanceError):
@@ -89,6 +106,17 @@ class TestInstanceValidation:
             StageSpec(0, F(1))
         with pytest.raises(InstanceError):
             StageSpec(1, F(0))
+
+    def test_caps(self):
+        assert StageSpec(MAX_MACHINES, F(1)).machines == MAX_MACHINES
+        for machines in (MAX_MACHINES + 1, 10**9, 10**99):
+            with pytest.raises(InstanceError, match="cap"):
+                StageSpec(machines, F(1))
+            with pytest.raises(InstanceError, match="cap"):
+                Instance.from_json({"stages": [{"machines": machines, "speed": "1"}], "jobs": [{"size": "1"}]})
+        with pytest.raises(InstanceError, match="cap"):
+            Instance.from_sizes([1], [(1, 1)] * (MAX_STAGES + 1))
+        assert Instance.from_sizes([1], [(1, 1)] * MAX_STAGES).k == MAX_STAGES
 
     def test_rejects_bad_ids(self):
         with pytest.raises(InstanceError):
