@@ -25,7 +25,7 @@ from .exact import (
     single_stage_optimal,
 )
 from .greedy import greedy_schedule
-from .model import Instance, Scalar, ScheduleTrace, StageSpec, format_decimal, format_scalar, format_ticks
+from .model import Instance, Scalar, ScheduleTrace, StageSpec, format_decimal, format_scalar, format_ticks, to_ticks
 
 __all__ = [
     "AnalysisError",
@@ -166,27 +166,21 @@ def _head(spec: StageSpec, t_offset: Scalar, p_max: Scalar) -> Scalar:
     return t_offset + Fraction(2 * spec.machines - 1, 1) / (spec.machines * spec.speed) * p_max
 
 
-def _ticks(values: Iterable[Scalar], scale: int) -> list[int]:
-    """Each value in ticks of 1/scale; scale is a multiple of every denominator."""
-    return [value.numerator * (scale // value.denominator) for value in values]
-
-
 class _Grid:
     """One report's common denominator `scale` and the trace's times on it.
 
-    `scale` is the lcm of the denominators of the trace's release and
-    completion times at `stages`, of every job's size/rate (so every prefix
-    share is a sum of ints) and of `extra` (offsets, heads, final bounds).
+    `scale` is the lcm of the trace's own `scale`, of the denominators of
+    every job's size/rate (so every prefix share is a sum of ints) and of
+    `extra` (offsets, heads, final bounds). The trace's ticks reach it by one
+    int `factor`.
     """
 
-    def __init__(
-        self, instance: Instance, trace: ScheduleTrace, stages: Iterable[int], rate: Scalar, extra: Iterable[Scalar]
-    ):
+    def __init__(self, instance: Instance, trace: ScheduleTrace, rate: Scalar, extra: Iterable[Scalar]):
         shares = [job.size / rate for job in instance.jobs]
-        times = [t for row in trace.records for i in stages for t in (row[i].release, row[i].completion)]
         self.trace = trace
-        self.scale = math.lcm(*{value.denominator for value in (*extra, *shares, *times)})
-        self.shares = _ticks(shares, self.scale)
+        self.scale = math.lcm(trace.scale, *{value.denominator for value in (*extra, *shares)})
+        self.factor = self.scale // trace.scale
+        self.shares = [to_ticks(share, self.scale) for share in shares]
 
     def stage_rows(
         self, stage: int, t_offset: Scalar, head: Scalar, label: str = ""
@@ -196,10 +190,10 @@ class _Grid:
         Premise: r_j <= T + share_j; completion: c_j <= head + share_j, where
         share_j is (1/rate) times the sizes ranked ahead of j in the row's order.
         """
-        scale, shares = self.scale, self.shares
-        releases = _ticks((row[stage].release for row in self.trace.records), scale)
-        completions = _ticks((row[stage].completion for row in self.trace.records), scale)
-        t, h = _ticks((t_offset, head), scale)
+        shares, factor = self.shares, self.factor
+        releases = [row[stage][1] * factor for row in self.trace.grid]
+        completions = [row[stage][3] * factor for row in self.trace.grid]
+        t, h = to_ticks(t_offset, self.scale), to_ticks(head, self.scale)
         premise: list[GridRow] = []
         completion: list[GridRow] = []
         prefix = minimal_t = 0
@@ -223,7 +217,7 @@ def _stage_report(
 ) -> tuple[_Grid, list[GridRow], list[GridRow], int]:
     _check_ms_star(instance, stage, ms_star)
     head = _head(instance.stages[stage], t_offset, max(job.size for job in instance.jobs))
-    grid = _Grid(instance, trace, (stage,), ms_star, (t_offset, head))
+    grid = _Grid(instance, trace, ms_star, (t_offset, head))
     return (grid, *grid.stage_rows(stage, t_offset, head))
 
 
@@ -316,8 +310,7 @@ def check_multistage_chain(
     ]
     if opt_makespan is not None:
         finals.append(("makespan vs ratio ceiling * optimum", (factor + 1) * opt_makespan))
-    ends = [trace.makespan, *(rhs for _, rhs in finals)]
-    grid = _Grid(instance, trace, range(instance.k), rate, [*offsets, *ends])
+    grid = _Grid(instance, trace, rate, [*offsets, *(rhs for _, rhs in finals)])
     rows: list[GridRow] = []
     for stage in range(instance.k):
         premise_rows, completion_rows, _ = grid.stage_rows(
@@ -325,11 +318,11 @@ def check_multistage_chain(
         )
         rows += premise_rows
         rows += completion_rows
-    makespan, *bounds = _ticks(ends, grid.scale)
+    makespan = trace.makespan_ticks * grid.factor
     # the final stage's last sorted-completion row bounds its latest completion
     # by T_k plus (1/rate) times the sizes of every job sorted ahead of it
     rows.append(("makespan vs accumulated bound", makespan, rows[-1][2]))
-    rows += [(label, makespan, bound) for (label, _), bound in zip(finals, bounds)]
+    rows += [(label, makespan, to_ticks(bound, grid.scale)) for label, bound in finals]
     params = {
         "ms_star": rate,
         "p_max": p_max,

@@ -39,13 +39,14 @@ from .model import (
     MAX_SCALAR_DIGITS,
     Instance,
     ModelError,
+    ScheduleTrace,
     evaluate_schedule,
     format_decimal,
     format_scalar,
+    format_ticks,
     parse_scalar,
     plan_from_json,
     plan_to_json,
-    trace_rows,
     trace_to_csv,
     trace_to_json,
 )
@@ -197,15 +198,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _replay_plan(instance: Instance, path: str) -> ScheduleTrace:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return evaluate_schedule(instance, plan_from_json(json.load(fh)))
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot replay plan: {exc}") from exc
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     if args.plan is not None:
-        try:
-            with open(args.plan, "r", encoding="utf-8") as fh:
-                plan = plan_from_json(json.load(fh))
-            trace = evaluate_schedule(instance, plan)
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot replay plan: {exc}") from exc
+        trace = _replay_plan(instance, args.plan)
         events_json: list[dict] | None = None
     else:
         trace, events = greedy_schedule(instance)
@@ -285,9 +289,8 @@ def _spne_csv(instance: Instance, result, precision: int) -> str:
     for label, trace in (("equilibrium", result.trace), ("greedy", result.greedy_trace)):
         for j in range(instance.n):
             row: list[str | int] = [label, j, format_scalar(instance.jobs[j].size)]
-            for i in range(instance.k):
-                rec = trace.records[j][i]
-                row += [format_scalar(rec.release), format_scalar(rec.completion)]
+            for _, release, _, completion in trace.grid[j]:
+                row += [format_ticks(release, trace.scale), format_ticks(completion, trace.scale)]
             writer.writerow(row)
     return buf.getvalue()
 
@@ -303,11 +306,7 @@ def _cmd_poa(args: argparse.Namespace) -> int:
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     if args.plan is not None:
-        try:
-            with open(args.plan, "r", encoding="utf-8") as fh:
-                trace = evaluate_schedule(instance, plan_from_json(json.load(fh)))
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot replay plan: {exc}") from exc
+        trace = _replay_plan(instance, args.plan)
     else:
         trace, _ = greedy_schedule(instance)
     opt = None

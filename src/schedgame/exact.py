@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .greedy import greedy_schedule
-from .model import Instance, Job, Plan, Queues, Scalar, queues_to_plan, time_grid, trace_queues
+from .model import Instance, Job, Plan, Queues, Scalar, ScheduleTrace, queues_to_plan, time_grid, trace_queues
 
 __all__ = [
     "SearchLimits",
@@ -91,15 +91,15 @@ def opt_lower_bounds(instance: Instance) -> tuple[Scalar, Scalar]:
     return path, total / rate
 
 
-def _heuristic_plan(instance: Instance) -> tuple[Scalar, Queues]:
+def _heuristic_plan(instance: Instance) -> tuple[ScheduleTrace, Queues]:
     """Best of a few greedy passes (priority order, sizes descending/ascending).
 
     Queues are order-free: relabelling a reordered instance's greedy queues
     back through `order` gives a plan that evaluates identically on the
-    original instance. Returns the makespan and those queues.
+    original instance. Returns the best trace (all share one time grid) and its queues.
     """
     n = instance.n
-    best: tuple[Scalar, Queues] | None = None
+    best: tuple[ScheduleTrace, Queues] | None = None
     orders = [
         list(range(n)),
         sorted(range(n), key=lambda j: (-instance.jobs[j].size, j)),
@@ -108,11 +108,11 @@ def _heuristic_plan(instance: Instance) -> tuple[Scalar, Queues]:
     for order in orders:
         jobs = tuple(Job(pos, instance.jobs[j].size) for pos, j in enumerate(order))
         trace, _ = greedy_schedule(Instance(jobs, instance.stages))
-        if best is None or trace.makespan < best[0]:
+        if best is None or trace.makespan_ticks < best[0].makespan_ticks:
             queues = tuple(
                 tuple(tuple(order[pos] for pos in queue) for queue in stage) for stage in trace_queues(trace)
             )
-            best = (trace.makespan, queues)
+            best = (trace, queues)
     assert best is not None
     return best
 
@@ -129,8 +129,8 @@ def optimal_makespan(instance: Instance, limits: SearchLimits | None = None) -> 
     path, bottleneck = opt_lower_bounds(instance)
     analytic_lb = max(path, bottleneck)
     ub, ub_queues = _heuristic_plan(instance)
-    if ub == analytic_lb:
-        return OptResult(ub, queues_to_plan(ub_queues), "exact", ub, 0)
+    if ub.makespan == analytic_lb:
+        return OptResult(ub.makespan, queues_to_plan(ub_queues), "exact", ub.makespan, 0)
     n, k = instance.n, instance.k
     job_cap = limits.max_jobs if k == 1 else min(limits.max_jobs, limits.max_jobs_multistage)
     if n > job_cap:
@@ -157,7 +157,7 @@ class _PlanSearch:
         self,
         instance: Instance,
         limits: SearchLimits,
-        ub: Scalar,
+        ub: ScheduleTrace,
         ub_queues: Queues,
         analytic_lb: Scalar,
     ) -> None:
@@ -171,9 +171,8 @@ class _PlanSearch:
             for i in range(self.k - 1, -1, -1):
                 self.rempath[j][i] = self.rempath[j][i + 1] + self.exec_int[j][i]
         self.stage_total = [sum(self.exec_int[j][i] for j in range(self.n)) for i in range(self.k)]
-        ub_scaled = ub * self.scale
-        assert ub_scaled.denominator == 1, "heuristic plan off the exact time grid"
-        self.best = int(ub_scaled)
+        assert ub.scale == self.scale, "heuristic plan off the exact time grid"
+        self.best = ub.makespan_ticks
         self.best_seqs = ub_queues
         self.analytic_lb = analytic_lb
         self.target = math.ceil(analytic_lb * self.scale)

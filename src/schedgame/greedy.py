@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .model import (
     ZERO,
@@ -34,11 +35,10 @@ def greedy_schedule(instance: Instance) -> tuple[ScheduleTrace, list[GreedyEvent
     releases an earlier decider's enqueue is visible to later deciders. Machine
     ties go to the lowest index. Returns the trace plus the decision log.
     """
-    n, k = instance.n, instance.k
+    n = instance.n
     scale, ticks = time_grid(instance.sizes(), [s.speed for s in instance.stages])
-    machines = [[0] * k for _ in range(n)]
-    completions = [[0] * k for _ in range(n)]
-    decisions: list[tuple[int, int, tuple[Scalar, ...], int]] = []
+    grid: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    events: list[GreedyEvent] = []
     releases = [0] * n
     for i, spec in enumerate(instance.stages):
         # a machine's load is speed times the time its queue drains; with one
@@ -48,18 +48,14 @@ def greedy_schedule(instance: Instance) -> tuple[ScheduleTrace, list[GreedyEvent
         load_per_tick = spec.speed / scale
         for j in sorted(range(n), key=releases.__getitem__):
             chosen = available.index(min(available))
-            decisions.append((j, i, tuple(loads), chosen))
             release = releases[j]
+            events.append(GreedyEvent(Fraction(release, scale), j, i, tuple(loads), chosen))
             start = release if release > available[chosen] else available[chosen]
             completion = available[chosen] = start + ticks[j][i]
             loads[chosen] = load_per_tick * completion
-            machines[j][i] = chosen
-            completions[j][i] = completion
-        releases = [row[i] for row in completions]
-    trace = ScheduleTrace.from_grid(scale, ticks, machines, completions)
-    events = [
-        GreedyEvent(trace.records[j][i].release, j, i, loads, chosen) for j, i, loads, chosen in decisions
-    ]
+            grid[j].append((chosen, release, start, completion))
+        releases = [row[i][3] for row in grid]
+    trace = ScheduleTrace(scale, tuple(map(tuple, grid)), max(row[-1][3] for row in grid))
     return trace, events
 
 
@@ -71,7 +67,7 @@ def release_order(trace: ScheduleTrace, stage: int) -> list[int]:
     """
     if not 0 <= stage < trace.k:
         raise ValueError(f"stage {stage} out of range [0, {trace.k})")
-    return sorted(range(trace.n), key=lambda j: (trace.records[j][stage].release, j))
+    return sorted(range(trace.n), key=lambda j: (trace.grid[j][stage][1], j))
 
 
 def events_to_json(events: list[GreedyEvent], precision: int = 6) -> list[dict]:

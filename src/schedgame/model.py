@@ -12,6 +12,7 @@ output boundary.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -123,12 +124,16 @@ def format_decimal(value: Scalar, precision: int = 6) -> str:
     Rounds to `precision` fractional digits (ties away from zero) and trims
     trailing zeros, so 606/5 renders as "121.2" rather than "121.200000".
     """
+    return format_decimal_ticks(value.numerator, value.denominator, precision)
+
+
+def format_decimal_ticks(ticks: int, scale: int, precision: int = 6) -> str:
+    """format_decimal(Fraction(ticks, scale), precision) for scale > 0, without building the Fraction."""
     if precision < 0:
         raise ModelError("precision must be >= 0")
-    sign = "-" if value < 0 else ""
-    num, den = abs(value).numerator, abs(value).denominator
-    quot, rem = divmod(num * 10**precision, den)
-    if 2 * rem >= den:
+    sign = "-" if ticks < 0 else ""
+    quot, rem = divmod(abs(ticks) * 10**precision, scale)
+    if 2 * rem >= scale:
         quot += 1
     digits = str(quot).rjust(precision + 1, "0")
     split = len(digits) - precision
@@ -247,6 +252,11 @@ class Instance:
         return Instance(tuple(jobs), tuple(stages), family)
 
 
+def to_ticks(value: Scalar, scale: int) -> int:
+    """`value` in ticks of 1/scale; scale is a multiple of its denominator."""
+    return value.numerator * (scale // value.denominator)
+
+
 def time_grid(sizes: Sequence[Scalar], speeds: Sequence[Scalar]) -> tuple[int, list[list[int]]]:
     """The exact integer time grid of jobs with `sizes` on stages with `speeds`.
 
@@ -261,7 +271,7 @@ def time_grid(sizes: Sequence[Scalar], speeds: Sequence[Scalar]) -> tuple[int, l
     scale = math.lcm(*(t.denominator for row in times for t in row))
     if scale.bit_length() > MAX_GRID_BITS:
         raise ModelError(f"time grid needs a {scale.bit_length()}-bit denominator (cap {MAX_GRID_BITS})")
-    return scale, [[t.numerator * (scale // t.denominator) for t in row] for row in times]
+    return scale, [[to_ticks(t, scale) for t in row] for row in times]
 
 
 @dataclass(frozen=True)
@@ -277,60 +287,62 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class ScheduleTrace:
-    """Full timing of an instance: `records[job][stage]` plus the makespan."""
+    """Full timing of an instance on its integer time grid.
 
-    records: tuple[tuple[StageRecord, ...], ...]
-    makespan: Scalar
+    `grid[job][stage]` is (machine, release, start, completion) and
+    `makespan_ticks` the makespan, all in ticks of 1/`scale`: the lcm of the
+    denominators of the trace's times, so equality compares ints. (A kernel's
+    `time_grid` L is that lcm, as every execution time is a completion minus a
+    start.) `records` and `makespan` are `Fraction` views, built when first read.
+    """
+
+    scale: int
+    grid: tuple[tuple[tuple[int, int, int, int], ...], ...]
+    makespan_ticks: int
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return len(self.grid)
 
     @property
     def k(self) -> int:
-        return len(self.records[0])
+        return len(self.grid[0])
 
-    def releases(self, stage: int) -> tuple[Scalar, ...]:
-        return tuple(self.records[j][stage].release for j in range(self.n))
+    @functools.cached_property
+    def records(self) -> tuple[tuple[StageRecord, ...], ...]:
+        scale = self.scale
+        return tuple(
+            tuple(
+                StageRecord(i, machine, Fraction(release, scale), Fraction(start, scale), Fraction(completion, scale))
+                for i, (machine, release, start, completion) in enumerate(row)
+            )
+            for row in self.grid
+        )
+
+    @functools.cached_property
+    def makespan(self) -> Scalar:
+        return Fraction(self.makespan_ticks, self.scale)
 
     def completions(self, stage: int) -> tuple[Scalar, ...]:
-        return tuple(self.records[j][stage].completion for j in range(self.n))
+        return tuple(row[stage].completion for row in self.records)
 
     def final_completions(self) -> tuple[Scalar, ...]:
         return self.completions(self.k - 1)
 
     @staticmethod
-    def from_grid(
-        scale: int,
-        ticks: Sequence[Sequence[int]],
-        machines: Sequence[Sequence[int]],
-        completions: Sequence[Sequence[int]],
-    ) -> "ScheduleTrace":
-        """Build the exact trace from integer-grid timings.
+    def from_records(records: Sequence[Sequence[StageRecord]], makespan: Scalar) -> "ScheduleTrace":
+        """The trace of hand-built `records[job][stage]` and `makespan`, on the lcm of their denominators.
 
-        `machines[j][i]` and `completions[j][i]` give where job j ran at stage
-        i and when it finished there, in ticks of 1/`scale`; releases chain
-        from the previous stage's completion, starts are completion minus
-        `ticks[j][i]`.
+        A record's stage is its position in its row.
         """
-        fractions: dict[int, Scalar] = {}
-
-        def time(tick: int) -> Scalar:
-            value = fractions.get(tick)
-            if value is None:
-                value = fractions[tick] = Fraction(tick, scale)
-            return value
-
-        rows = []
-        for j, (row_machines, row_completions) in enumerate(zip(machines, completions)):
-            release = 0
-            row = []
-            for i, (machine, completion) in enumerate(zip(row_machines, row_completions)):
-                start = completion - ticks[j][i]
-                row.append(StageRecord(i, machine, time(release), time(start), time(completion)))
-                release = completion
-            rows.append(tuple(row))
-        return ScheduleTrace(tuple(rows), time(max(row[-1] for row in completions)))
+        times = [makespan, *(t for row in records for rec in row for t in (rec.release, rec.start, rec.completion))]
+        scale = math.lcm(*(t.denominator for t in times))
+        tick = functools.partial(to_ticks, scale=scale)
+        grid = tuple(
+            tuple((rec.machine, tick(rec.release), tick(rec.start), tick(rec.completion)) for rec in row)
+            for row in records
+        )
+        return ScheduleTrace(scale, grid, tick(makespan))
 
 
 # A plan fixes, for every stage, each job's machine and queue position:
@@ -413,10 +425,10 @@ def trace_queues(trace: ScheduleTrace) -> Queues:
     """The queue sequences a trace realizes: each machine's jobs by start time."""
     queues = []
     for i in range(trace.k):
-        starts: dict[int, list[tuple[Scalar, int]]] = {}
-        for j in range(trace.n):
-            rec = trace.records[j][i]
-            starts.setdefault(rec.machine, []).append((rec.start, j))
+        starts: dict[int, list[tuple[int, int]]] = {}
+        for j, row in enumerate(trace.grid):
+            machine, _, start, _ = row[i]
+            starts.setdefault(machine, []).append((start, j))
         busy = max(starts) + 1
         queues.append(tuple(tuple(j for _, j in sorted(starts.get(a, ()))) for a in range(busy)))
     return tuple(queues)
@@ -432,17 +444,16 @@ def evaluate_schedule(instance: Instance, plan: Plan | Sequence) -> ScheduleTrac
     """
     queues = plan_to_queues(instance, plan)
     scale, ticks = time_grid(instance.sizes(), [s.speed for s in instance.stages])
-    machines = [[0] * instance.k for _ in range(instance.n)]
-    completions = [[0] * instance.k for _ in range(instance.n)]
+    grid: list[list[tuple[int, int, int, int]]] = [[] for _ in range(instance.n)]
     for i, stage in enumerate(queues):
         for machine, queue in enumerate(stage):
             available = 0
             for j in queue:
-                release = completions[j][i - 1] if i else 0
-                available = (release if release > available else available) + ticks[j][i]
-                machines[j][i] = machine
-                completions[j][i] = available
-    return ScheduleTrace.from_grid(scale, ticks, machines, completions)
+                release = grid[j][i - 1][3] if i else 0
+                start = release if release > available else available
+                available = start + ticks[j][i]
+                grid[j].append((machine, release, start, available))
+    return ScheduleTrace(scale, tuple(map(tuple, grid)), max(row[-1][3] for row in grid))
 
 
 def validate_trace(instance: Instance, trace: ScheduleTrace) -> list[str]:
@@ -520,20 +531,21 @@ TRACE_CSV_FIELDS = (
 
 
 def trace_rows(trace: ScheduleTrace, precision: int = 6) -> list[dict[str, str | int]]:
+    scale = trace.scale
     rows: list[dict[str, str | int]] = []
-    for j in range(trace.n):
-        for rec in trace.records[j]:
+    for j, row in enumerate(trace.grid):
+        for i, (machine, release, start, completion) in enumerate(row):
             rows.append(
                 {
                     "job": j,
-                    "stage": rec.stage,
-                    "machine": rec.machine,
-                    "release": format_scalar(rec.release),
-                    "start": format_scalar(rec.start),
-                    "completion": format_scalar(rec.completion),
-                    "release_decimal": format_decimal(rec.release, precision),
-                    "start_decimal": format_decimal(rec.start, precision),
-                    "completion_decimal": format_decimal(rec.completion, precision),
+                    "stage": i,
+                    "machine": machine,
+                    "release": format_ticks(release, scale),
+                    "start": format_ticks(start, scale),
+                    "completion": format_ticks(completion, scale),
+                    "release_decimal": format_decimal_ticks(release, scale, precision),
+                    "start_decimal": format_decimal_ticks(start, scale, precision),
+                    "completion_decimal": format_decimal_ticks(completion, scale, precision),
                 }
             )
     return rows
@@ -549,7 +561,7 @@ def trace_to_csv(trace: ScheduleTrace, precision: int = 6) -> str:
 
 def trace_to_json(trace: ScheduleTrace, precision: int = 6) -> dict:
     return {
-        "makespan": format_scalar(trace.makespan),
-        "makespan_decimal": format_decimal(trace.makespan, precision),
+        "makespan": format_ticks(trace.makespan_ticks, trace.scale),
+        "makespan_decimal": format_decimal_ticks(trace.makespan_ticks, trace.scale, precision),
         "records": trace_rows(trace, precision),
     }

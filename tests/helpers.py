@@ -79,6 +79,28 @@ def list_schedule(sizes: list[Fraction], m: int, s: Fraction):
     return machine_of, max(avail)
 
 
+def naive_replay(instance: Instance, queues) -> list:
+    """Serve `queues[stage][machine]` (job ids in service order), in `Fraction`s.
+
+    A job is released into stage i when it completes stage i-1 (at zero into
+    stage 0) and starts at max(release, its machine's previous completion).
+    Returns per job its per-stage (stage, machine, release, start,
+    completion) records.
+    """
+    release = [Fraction(0)] * instance.n
+    records: list[list[tuple]] = [[] for _ in instance.jobs]
+    for i, spec in enumerate(instance.stages):
+        done = list(release)
+        for machine, queue in enumerate(queues[i]):
+            free = Fraction(0)
+            for j in queue:
+                start = max(release[j], free)
+                free = done[j] = start + instance.jobs[j].size / spec.speed
+                records[j].append((i, machine, release[j], start, free))
+        release = done
+    return records
+
+
 def brute_force_spne(instance: Instance, allow_defer: bool) -> dict:
     """Subgame-perfect play of the machine-choice game by plain backward induction.
 

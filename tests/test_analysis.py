@@ -238,7 +238,7 @@ def checked_traces(draw):
             row.append(StageRecord(i, 0, release, start, completion))
             release = completion
         records.append(tuple(row))
-    return inst, ScheduleTrace(tuple(records), max(row[-1].completion for row in records))
+    return inst, ScheduleTrace.from_records(records, max(row[-1].completion for row in records))
 
 
 class TestNaiveOracle:

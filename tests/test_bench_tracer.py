@@ -1,0 +1,80 @@
+"""The benchmark's span tracer still finds every function it wraps.
+
+`perfbench/spans.py` wraps package functions in the namespaces that call them
+(`schedgame.exact.greedy_schedule`, ...). A renamed function or a dropped
+import there breaks only the slow benchmark run, so this loads the tracer as
+it is and runs one op of each traced kind under it.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import schedgame
+import schedgame.cli
+from schedgame import gen_appendix_example
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_target_resolves(spans):
+    for module_name, attr, _ in spans.FUNCTIONS:
+        assert callable(getattr(getattr(schedgame, module_name), attr)), (module_name, attr)
+    for module_name, cls_name, attr, _, static in spans.METHODS:
+        original = getattr(getattr(schedgame, module_name), cls_name).__dict__[attr]
+        assert isinstance(original, staticmethod) == static, (cls_name, attr)
+
+
+def test_traced_ops_record_counts(spans, tmp_path):
+    instance = tmp_path / "appendix.json"
+    instance.write_text(json.dumps(gen_appendix_example().to_json()))
+    out = str(tmp_path / "out")
+    tracer = spans.Tracer(schedgame)
+    with tracer.installed():
+        for op, command in enumerate(["simulate", "verify-bounds", "poa", "spne"]):
+            tracer.op = op
+            assert schedgame.cli.main([command, "-i", str(instance), "-o", out]) == 0
+    assert schedgame.cli.greedy_schedule is schedgame.greedy.greedy_schedule
+    names = {(span.op, span.name) for span in tracer.spans}
+    assert {
+        (0, "greedy.greedy_schedule"),
+        (0, "model.trace_to_json"),
+        (0, "greedy.events_to_json"),
+        (1, "analysis.check_multistage_chain"),
+        (1, "analysis.BoundReport.to_json"),
+        (2, "analysis.price_of_anarchy"),
+        (2, "exact.optimal_makespan"),
+        (2, "analysis.PoAReport.to_json"),
+        (3, "equilibrium.spne_solve"),
+        (3, "model.evaluate_schedule"),
+    } <= names
+    for name in ("cli.main", "model.Instance.from_json"):
+        assert [span.op for span in tracer.spans if span.name == name] == [0, 1, 2, 3]
+    # two jobs through three stages; the appendix optimum 113 is below greedy's 606/5
+    for span in tracer.spans:
+        if span.name == "greedy.greedy_schedule":
+            assert span.counts == {"decisions": 6, "snapshot_entries": 8}
+        if span.name == "analysis.check_multistage_chain":
+            assert span.counts == {"rows": 21}
+        if span.name == "exact.optimal_makespan":
+            assert span.counts["nodes"] > 0
+    greedy_ops = [span.op for span in tracer.spans if span.name == "greedy.greedy_schedule"]
+    # simulate and verify-bounds once each; poa once plus three heuristic
+    # passes; spne once
+    assert greedy_ops == [0, 1, 2, 2, 2, 2, 3]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from schedgame import (
     Instance,
+    ScheduleTrace,
     evaluate_schedule,
     gen_random,
     greedy_schedule,
@@ -13,7 +14,11 @@ from schedgame import (
     validate_trace,
 )
 from schedgame.model import queues_to_plan, trace_queues
-from helpers import list_schedule
+from helpers import list_schedule, naive_replay
+
+
+def _record_tuples(trace):
+    return [[(r.stage, r.machine, r.release, r.start, r.completion) for r in row] for row in trace.records]
 
 
 def appendix_instance():
@@ -91,11 +96,22 @@ class TestGreedyProperties:
     @given(st.integers(0, 500))
     def test_differential_against_replay_and_list_scheduling(self, seed):
         # greedy's own queues replay to the same trace through the plan
-        # kernel, the trace is valid, and one stage is textbook list scheduling
+        # kernel and through a naive Fraction replay, the trace is valid and
+        # survives a round trip through its records, and one stage is
+        # textbook list scheduling
         inst = gen_random(n=1 + seed % 9, k=1 + seed % 3, machine_range=(1, 4), seed=seed)
         trace, _ = greedy_schedule(inst)
-        assert evaluate_schedule(inst, queues_to_plan(trace_queues(trace))) == trace
+        queues = trace_queues(trace)
+        assert evaluate_schedule(inst, queues_to_plan(queues)) == trace
+        assert _record_tuples(trace) == naive_replay(inst, queues)
+        assert ScheduleTrace.from_records(trace.records, trace.makespan) == trace
         assert validate_trace(inst, trace) == []
+        # equality compares the grids, so it must agree with the Fraction views
+        reversed_queues = [[queue[::-1] for queue in stage] for stage in queues]
+        other = evaluate_schedule(inst, queues_to_plan(reversed_queues))
+        assert _record_tuples(other) == naive_replay(inst, reversed_queues)
+        same_views = other.records == trace.records and other.makespan == trace.makespan
+        assert (other == trace) == same_views
         if inst.k == 1:
             spec = inst.stages[0]
             machines, makespan = list_schedule(list(inst.sizes()), spec.machines, spec.speed)

@@ -10,6 +10,7 @@ from schedgame import (
     Job,
     ModelError,
     PlanError,
+    ScheduleTrace,
     StageSpec,
     evaluate_schedule,
     format_decimal,
@@ -21,6 +22,7 @@ from schedgame import (
 from schedgame.model import (
     MAX_MACHINES,
     MAX_STAGES,
+    format_decimal_ticks,
     format_ticks,
     queues_to_plan,
     trace_queues,
@@ -86,6 +88,10 @@ class TestFormatting:
     @given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
     def test_format_ticks_matches_format_scalar(self, ticks, scale):
         assert format_ticks(ticks, scale) == format_scalar(F(ticks, scale))
+        for precision in range(101):
+            rendered = format_decimal_ticks(ticks, scale, precision)
+            assert rendered == format_decimal(F(ticks, scale), precision)
+            assert abs(F(rendered) - F(ticks, scale)) <= F(1, 2 * 10**precision)
 
     @pytest.mark.parametrize("ticks, scale", [(0, 7), (14, 7), (-14, 7), (3, 6), (-3, 6), (5, 1), (6, 4)])
     def test_format_ticks_examples(self, ticks, scale):
@@ -222,7 +228,7 @@ class TestValidateTrace:
         rec = trace.records[1][0]
         bad = dataclasses.replace(rec, start=rec.start - 1, completion=rec.completion - 1)
         rows = (trace.records[0], (bad, trace.records[1][1]))
-        tampered = dataclasses.replace(trace, records=rows)
+        tampered = ScheduleTrace.from_records(rows, trace.makespan)
         problems = validate_trace(inst, tampered)
         assert any("overlap" in p for p in problems)
 
@@ -233,15 +239,13 @@ class TestValidateTrace:
         rec = trace.records[0][1]
         bad = dataclasses.replace(rec, release=rec.release + 1, start=rec.start + 1, completion=rec.completion + 1)
         rows = ((trace.records[0][0], bad), trace.records[1])
-        tampered = dataclasses.replace(trace, records=rows, makespan=max(bad.completion, trace.records[1][1].completion))
+        tampered = ScheduleTrace.from_records(rows, max(bad.completion, trace.records[1][1].completion))
         problems = validate_trace(inst, tampered)
         assert any("previous completion" in p for p in problems)
 
     def test_makespan_mismatch_detected(self):
-        import dataclasses
-
         inst, trace = self._trace()
-        tampered = dataclasses.replace(trace, makespan=trace.makespan + 1)
+        tampered = ScheduleTrace.from_records(trace.records, trace.makespan + 1)
         assert any("makespan" in p for p in validate_trace(inst, tampered))
 
 
