@@ -12,6 +12,7 @@ import functools
 import io
 import itertools
 import json
+import operator
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -74,6 +75,86 @@ def _read_instance(path: str | None) -> Instance:
         raise CliError(f"invalid instance: {exc}") from exc
     except ValueError as exc:  # malformed JSON, or an integer literal too long to convert
         raise CliError(f"invalid instance JSON: {exc}") from exc
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+# C-level text of one exact-typed row cell; any other cell type renders recursively
+_CELL_TEXT = {str: _encode_str, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__}
+_apply = getattr(operator, "call", None) or (lambda fn, value: fn(value))  # operator.call is 3.11+
+
+
+def _dumps(payload: object) -> str:
+    """What `json.dumps` writes with a two-space indent, byte for byte.
+
+    With an indent the json module falls back to its pure-Python encoder. This
+    writer renders dict (str keys), list, tuple, str, int, bool and None with
+    C-level string and int encoders, and raises TypeError for anything else.
+    Each row of a list of dicts that shares the first row's key tuple and
+    cell-type tuple renders through one %-template.
+    """
+    return _encode(payload, 0)
+
+
+def _encode(value: object, depth: int) -> str:
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = "\n" + "  " * (depth + 1)
+        return "[" + inner + ("," + inner).join(_encode_items(value, depth + 1)) + "\n" + "  " * depth + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = "\n" + "  " * (depth + 1)
+        fields = [_encode_key(k) + ": " + _encode(v, depth + 1) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(fields) + "\n" + "  " * depth + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _encode_key(key: object) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _encode_str(key)
+
+
+def _encode_items(items: Sequence, depth: int) -> list[str]:
+    """The text of each item of a non-empty list, the items at `depth`."""
+    first = items[0]
+    if type(first) is dict and first:
+        keys = tuple(first)
+        types = tuple(map(type, first.values()))
+        template, cells = _row_template(keys, types, depth)
+        return [
+            template % tuple(map(_apply, cells, row.values()))
+            if type(row) is dict and tuple(row) == keys and tuple(map(type, row.values())) == types
+            else _encode(row, depth)
+            for row in items
+        ]
+    if isinstance(first, str):
+        try:
+            return list(map(_encode_str, items))
+        except TypeError:  # not every item is a str
+            pass
+    return [_encode(v, depth) for v in items]
+
+
+@functools.lru_cache(maxsize=256)
+def _row_template(keys: tuple, types: tuple, depth: int) -> tuple[str, tuple]:
+    """A %-template for a dict at `depth` with these keys, and one text callable per cell."""
+    inner = "\n" + "  " * (depth + 1)
+    fields = [_encode_key(k).replace("%", "%%") + ": %s" for k in keys]
+    template = "{" + inner + ("," + inner).join(fields) + "\n" + "  " * depth + "}"
+    cells = tuple(_CELL_TEXT.get(t) or functools.partial(_encode, depth=depth + 1) for t in types)
+    return template, cells
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -194,7 +275,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.size_range is not None:
         params["size_range"] = _parse_rational_range(args.size_range, "--size-range")
     instance = _build_family_instance(args.family, params)
-    _write_output(json.dumps(instance.to_json(), indent=2), args.output)
+    _write_output(_dumps(instance.to_json()), args.output)
     return 0
 
 
@@ -220,7 +301,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         payload = {"policy": "plan" if args.plan else "greedy", "trace": trace_to_json(trace, args.precision)}
         if events_json is not None:
             payload["events"] = events_json
-        _write_output(json.dumps(payload, indent=2), args.output)
+        _write_output(_dumps(payload), args.output)
     return 0
 
 
@@ -238,13 +319,11 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
         "lower_bound": format_scalar(result.lower_bound),
         "nodes": result.nodes,
     }
-    if args.emit_witness is not None:
-        witness = json.dumps(plan_to_json(result.plan), indent=2)
-        if args.emit_witness == "-":
-            payload["witness"] = plan_to_json(result.plan)
-        else:
-            _write_output(witness, args.emit_witness)
-    _write_output(json.dumps(payload, indent=2), args.output)
+    if args.emit_witness == "-":
+        payload["witness"] = plan_to_json(result.plan)
+    elif args.emit_witness is not None:
+        _write_output(_dumps(plan_to_json(result.plan)), args.emit_witness)
+    _write_output(_dumps(payload), args.output)
     return 0
 
 
@@ -275,7 +354,7 @@ def _cmd_spne(args: argparse.Namespace) -> int:
             for j in range(instance.n)
         ],
     }
-    _write_output(json.dumps(payload, indent=2), args.output)
+    _write_output(_dumps(payload), args.output)
     return 0
 
 
@@ -299,7 +378,7 @@ def _cmd_poa(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     limits = _parse_limits(args.limits)
     report = price_of_anarchy(instance, limits)
-    _write_output(json.dumps(report.to_json(args.precision), indent=2), args.output)
+    _write_output(_dumps(report.to_json(args.precision)), args.output)
     return 1 if report.ratio_is_exact and report.ratio > report.ceiling else 0
 
 
@@ -321,7 +400,7 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
         report = check_multistage_chain(instance, trace, opt)
     except AnalysisError as exc:
         raise CliError(str(exc)) from exc
-    _write_output(json.dumps(report.to_json(args.precision), indent=2), args.output)
+    _write_output(_dumps(report.to_json(args.precision)), args.output)
     return 0 if report.holds else 1
 
 

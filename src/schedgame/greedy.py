@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .model import (
     ZERO,
@@ -70,15 +71,28 @@ def release_order(trace: ScheduleTrace, stage: int) -> list[int]:
     return sorted(range(trace.n), key=lambda j: (trace.grid[j][stage][1], j))
 
 
-def events_to_json(events: list[GreedyEvent], precision: int = 6) -> list[dict]:
-    return [
-        {
-            "time": format_scalar(e.time),
-            "time_decimal": format_decimal(e.time, precision),
-            "job": e.job,
-            "stage": e.stage,
-            "loads": [format_scalar(x) for x in e.loads],
-            "machine": e.machine,
-        }
-        for e in events
-    ]
+def events_to_json(events: Iterable[GreedyEvent], precision: int = 6) -> list[dict]:
+    # A load stays the same object from one snapshot to the next until its
+    # machine is picked, so each distinct load object is formatted once.
+    text: dict[int, str] = {}
+    held = []  # every formatted load stays alive, so no id in `text` is reused
+    lookup = text.get
+    out = []
+    for e in events:
+        loads = list(map(lookup, map(id, e.loads)))
+        while None in loads:
+            i = loads.index(None)
+            x = e.loads[i]
+            held.append(x)
+            loads[i] = text[id(x)] = format_scalar(x)
+        out.append(
+            {
+                "time": format_scalar(e.time),
+                "time_decimal": format_decimal(e.time, precision),
+                "job": e.job,
+                "stage": e.stage,
+                "loads": loads,
+                "machine": e.machine,
+            }
+        )
+    return out

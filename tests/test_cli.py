@@ -179,6 +179,15 @@ class TestPoa:
         assert payload["opt_status"] == "exact"
         assert payload["family"].startswith("single-stage-worst")
 
+    def test_family_is_escaped(self, capsys, tmp_path):
+        family = "\u00e9\"\\\n "
+        inst = Instance.from_sizes([3, 1, 2], [(2, 1), (1, 2)], family=family)
+        code, out, _ = run_cli(capsys, ["poa", "-i", write_instance(tmp_path, inst)])
+        assert code == 0
+        assert '"family": "\\u00e9\\"\\\\\\n "' in out
+        assert json.loads(out)["family"] == family
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
     def test_degraded_report_on_refusal(self, capsys, tmp_path):
         inst = Instance.from_sizes([10, 1, 1, 1, 1, 1, 1], [(1, 1), (2, 5)])
         path = write_instance(tmp_path, inst)
@@ -227,6 +236,47 @@ class TestVerifyBounds:
         # the big-job-first plan serves job 0 before job 1 at the slow last stage
         argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
         assert run_cli(capsys, ["verify-bounds", *argv]) == (code, (GOLDEN / expected).read_text(), "")
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            ("simulate", "simulate_appendix.json"),
+            ("poa", "poa_appendix.json"),
+            ("spne", "spne_appendix.json"),
+        ],
+    )
+    def test_output_is_byte_identical_to_golden(self, capsys, command, expected):
+        argv = [command, "-i", str(GOLDEN / "appendix.json")]
+        assert run_cli(capsys, argv) == (0, (GOLDEN / expected).read_text(), "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--family", "appendix"],
+            ["simulate", "-i", "appendix.json"],
+            ["optimal", "-i", "appendix.json", "--emit-witness", "-"],
+            ["spne", "-i", "appendix.json"],
+            ["poa", "-i", "appendix.json"],
+            ["verify-bounds", "-i", "appendix.json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_stdout_is_canonical_json(self, capsys, argv):
+        # every JSON writer must print exactly what the json module prints with a two-space indent
+        argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_witness_file_is_canonical_json(self, capsys, tmp_path):
+        witness = tmp_path / "witness.json"
+        argv = ["optimal", "-i", str(GOLDEN / "appendix.json"), "--emit-witness", str(witness)]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and "witness" not in json.loads(out)
+        text = witness.read_text()
+        assert text == json.dumps(json.loads(text), indent=2)
 
 
 class TestSweep:

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schedgame import (
+    GreedyEvent,
     Instance,
     ScheduleTrace,
     evaluate_schedule,
@@ -13,7 +14,8 @@ from schedgame import (
     release_order,
     validate_trace,
 )
-from schedgame.model import queues_to_plan, trace_queues
+from schedgame.greedy import events_to_json
+from schedgame.model import format_decimal, format_scalar, queues_to_plan, trace_queues
 from helpers import list_schedule, naive_replay
 
 
@@ -166,3 +168,35 @@ class TestListSchedulingEquivalence:
         machines, makespan = list_schedule(sizes, m, s)
         assert [trace.records[j][0].machine for j in range(len(sizes))] == machines
         assert trace.makespan == makespan
+
+
+def naive_events_json(events, precision):
+    return [
+        {
+            "time": format_scalar(e.time),
+            "time_decimal": format_decimal(e.time, precision),
+            "job": e.job,
+            "stage": e.stage,
+            "loads": [format_scalar(x) for x in e.loads],
+            "machine": e.machine,
+        }
+        for e in events
+    ]
+
+
+class TestEventsToJson:
+    """`events_to_json` formats each load object once; the text must equal formatting every entry."""
+
+    @given(st.integers(0, 2**32), st.integers(1, 12), st.integers(1, 3), st.integers(0, 100))
+    def test_matches_per_entry_formatting(self, seed, n, k, precision):
+        _, events = greedy_schedule(gen_random(n, k, (1, 6), seed=seed))
+        assert events_to_json(events, precision) == naive_events_json(events, precision)
+
+    def test_events_from_a_generator(self):
+        # each event, and so each load, is freed once rendered: a later load
+        # may get a freed one's id, which must not bring back its text
+        def events():
+            for i in range(200):
+                yield GreedyEvent(F(i, 3), i, 0, (F(i, 7), F(i + 1, 7), F(0)), i % 3)
+
+        assert events_to_json(events(), 2) == naive_events_json(events(), 2)
