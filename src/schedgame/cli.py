@@ -73,7 +73,7 @@ def _read_instance(path: str | None) -> Instance:
         raise CliError(f"cannot read instance: {exc}") from exc
     except ModelError as exc:
         raise CliError(f"invalid instance: {exc}") from exc
-    except ValueError as exc:  # malformed JSON, or an integer literal too long to convert
+    except (ValueError, RecursionError) as exc:  # malformed or too deeply nested JSON, or a too-long int literal
         raise CliError(f"invalid instance JSON: {exc}") from exc
 
 
@@ -283,7 +283,7 @@ def _replay_plan(instance: Instance, path: str) -> ScheduleTrace:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return evaluate_schedule(instance, plan_from_json(json.load(fh)))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot replay plan: {exc}") from exc
 
 
@@ -336,7 +336,7 @@ def _cmd_spne(args: argparse.Namespace) -> int:
     except LimitsExceeded as exc:
         raise CliError(f"solver refused: {exc}", code=1) from exc
     if args.format == "csv":
-        _write_output(_spne_csv(instance, result, args.precision), args.output)
+        _write_output(_spne_csv(instance, result), args.output)
         return 0
     payload = {
         "action_model": {"allow_defer": model.allow_defer, "defer_is_reconstruction": True},
@@ -358,7 +358,7 @@ def _cmd_spne(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spne_csv(instance: Instance, result, precision: int) -> str:
+def _spne_csv(instance: Instance, result) -> str:
     buf = io.StringIO()
     header = ["policy", "job", "size"]
     for i in range(instance.k):
@@ -384,6 +384,7 @@ def _cmd_poa(args: argparse.Namespace) -> int:
 
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
+    limits = _parse_limits(args.limits)
     if args.plan is not None:
         trace = _replay_plan(instance, args.plan)
     else:
@@ -391,7 +392,7 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     opt = None
     if args.with_opt:
         try:
-            result = optimal_makespan(instance, _parse_limits(args.limits))
+            result = optimal_makespan(instance, limits)
             if result.status == "exact":
                 opt = result.makespan
         except LimitsExceeded:
@@ -518,10 +519,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
+        # a command that reads an instance renders its times, so it takes --precision
         if with_input:
             p.add_argument("--input", "-i", default=None, help="instance JSON file (default: stdin)")
         p.add_argument("--output", "-o", default=None, help="output file (default: stdout)")
-        p.add_argument("--precision", type=int, default=6, help=f"decimal digits, 0..{MAX_SCALAR_DIGITS}")
+        if with_input:
+            p.add_argument("--precision", type=int, default=6, help=f"decimal digits, 0..{MAX_SCALAR_DIGITS}")
 
     p = sub.add_parser("generate", help="emit an instance from a named family")
     p.add_argument("--family", required=True, choices=FAMILIES)
@@ -594,7 +597,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-        if not 0 <= args.precision <= MAX_SCALAR_DIGITS:
+        if "precision" in args and not 0 <= args.precision <= MAX_SCALAR_DIGITS:
             parser.error(f"argument --precision: must lie in 0..{MAX_SCALAR_DIGITS}, got {args.precision}")
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterator
 
 from .exact import DEFAULT_LIMITS, LimitsExceeded, SearchLimits
 from .greedy import greedy_schedule
@@ -116,9 +117,20 @@ _Key = tuple[tuple[tuple[int, int] | None, ...], tuple[tuple[int, ...], ...], tu
 
 
 class _GameSolver:
-    def __init__(self, instance: Instance, model: ActionModel, limits: SearchLimits):
+    """Backward induction over the states above; every state it returns has its
+    decision batch live, so `state[2]` is empty exactly when the game is over."""
+
+    def __init__(self, instance: Instance, model: ActionModel | None = None, limits: SearchLimits | None = None):
+        limits = limits or DEFAULT_LIMITS
+        if instance.n > limits.max_jobs:
+            raise LimitsExceeded(f"{instance.n} jobs exceeds the game-solver cap of {limits.max_jobs}")
+        if instance.k > limits.max_stages:
+            raise LimitsExceeded(f"{instance.k} stages exceeds the cap of {limits.max_stages}")
+        worst = max(s.machines for s in instance.stages)
+        if worst > limits.max_machines:
+            raise LimitsExceeded(f"{worst} machines in a stage exceeds the cap of {limits.max_machines}")
         self.instance = instance
-        self.model = model
+        self.model = model or ActionModel()
         self.k = instance.k
         self.scale, self.exec = time_grid(instance.sizes(), [s.speed for s in instance.stages])
         self.machine_actions: list[tuple[Action, ...]] = [tuple(range(s.machines)) for s in instance.stages]
@@ -131,22 +143,19 @@ class _GameSolver:
 
     def initial_state(self) -> _State:
         machines = tuple((0,) * s.machines for s in self.instance.stages)
-        return (machines, ((0, 0),) * self.instance.n, (), ())
+        return self._next_batch(machines, ((0, 0),) * self.instance.n)
 
-    def with_batch(self, state: _State) -> _State:
-        """Materialize the next decision batch when the current one is spent.
+    def _next_batch(self, machines: tuple[tuple[int, ...], ...], jobs: tuple[tuple[int, int], ...]) -> _State:
+        """The state whose previous batch is spent, with the next one live.
 
         A batch is the maximal group of pending decisions sharing the earliest
         (release, stage); it is ordered by job id and tracked explicitly so
-        defers can permute it.
+        defers can permute it. No pending job leaves an empty batch: game over.
         """
-        machines, jobs, batch, defers = state
-        if batch:
-            return state
         k = self.k
         pending = [(release, stage) for stage, release in jobs if stage < k]
         if not pending:
-            return state
+            return (machines, jobs, (), ())
         release, stage = min(pending)
         head = (stage, release)
         group = tuple([j for j, job in enumerate(jobs) if job == head])
@@ -184,7 +193,9 @@ class _GameSolver:
         stage_machines[action] = completion
         new_machines = machines[:stage] + (tuple(stage_machines),) + machines[stage + 1 :]
         new_jobs = jobs[:j] + ((stage + 1, completion),) + jobs[j + 1 :]
-        return (new_machines, new_jobs, batch[1:], defers[1:])
+        if len(batch) > 1:
+            return (new_machines, new_jobs, batch[1:], defers[1:])
+        return self._next_batch(new_machines, new_jobs)
 
     def value(self, state: _State) -> tuple[int, ...]:
         """Final completion ticks under optimal play from `state` on.
@@ -192,7 +203,6 @@ class _GameSolver:
         The decider minimizes its own final completion; ties prefer machine
         actions in index order, defer last.
         """
-        state = self.with_batch(state)
         machines, jobs, batch, defers = state
         if not batch:
             return tuple([final for _, final in jobs])
@@ -217,20 +227,10 @@ class _GameSolver:
         return best_vec
 
     def chosen_action(self, state: _State) -> Action:
-        state = self.with_batch(state)
         key = self.key(state)
         if key not in self.memo:
             self.value(state)
         return self.memo[key][1]
-
-    def greedy_action(self, state: _State) -> int:
-        """The least-loaded, lowest-index machine for the current decider.
-
-        One speed per stage, so the least load is the earliest available-at.
-        """
-        machines, jobs, batch, _ = state
-        available = machines[jobs[batch[0]][0]]
-        return available.index(min(available))
 
     def node_view(self, state: _State) -> GameNode:
         machines, jobs, batch, _ = state
@@ -239,26 +239,33 @@ class _GameSolver:
         return GameNode(j, stage, self.time(release), batch, self.actions(state))
 
 
-def _check_limits(instance: Instance, limits: SearchLimits) -> None:
-    if instance.n > limits.max_jobs:
-        raise LimitsExceeded(f"{instance.n} jobs exceeds the game-solver cap of {limits.max_jobs}")
-    if instance.k > limits.max_stages:
-        raise LimitsExceeded(f"{instance.k} stages exceeds the cap of {limits.max_stages}")
-    worst = max(s.machines for s in instance.stages)
-    if worst > limits.max_machines:
-        raise LimitsExceeded(f"{worst} machines in a stage exceeds the cap of {limits.max_machines}")
+def _walk(solver: _GameSolver, pick: Callable[[_State], Action]) -> Iterator[tuple[_State, Action]]:
+    """Each decision state from the root on, with the action `pick` plays there."""
+    state = solver.initial_state()
+    while state[2]:
+        action = pick(state)
+        yield state, action
+        state = solver.apply(state, action)
+
+
+def _greedy_pick(instance: Instance) -> Callable[[_State], int]:
+    """Greedy play: each decider's machine in the greedy kernel's trace. On the
+    greedy path every stage decides in the kernel's (release, job id) order."""
+    grid = greedy_schedule(instance)[0].grid
+
+    def pick(state: _State) -> int:
+        _, jobs, batch, _ = state
+        return grid[batch[0]][jobs[batch[0]][0]][0]
+
+    return pick
 
 
 def _equilibrium_plan(solver: _GameSolver) -> Plan:
     """Replay the solved equilibrium path into an evaluable plan."""
     queues = [[[] for _ in range(s.machines)] for s in solver.instance.stages]
-    state = solver.with_batch(solver.initial_state())
-    while state[2]:
-        action = solver.chosen_action(state)
+    for (_, jobs, batch, _), action in _walk(solver, solver.chosen_action):
         if action != DEFER:
-            j = state[2][0]
-            queues[state[1][j][0]][action].append(j)
-        state = solver.with_batch(solver.apply(state, action))
+            queues[jobs[batch[0]][0]][action].append(batch[0])
     return queues_to_plan(queues)
 
 
@@ -273,13 +280,9 @@ def spne_solve(
     equilibrium path replayed through the schedule kernel; deltas are
     equilibrium minus greedy, per job.
     """
-    model = model or ActionModel()
-    limits = limits or DEFAULT_LIMITS
-    _check_limits(instance, limits)
     solver = _GameSolver(instance, model, limits)
     finals = tuple(solver.time(t) for t in solver.value(solver.initial_state()))
-    plan = _equilibrium_plan(solver)
-    trace = evaluate_schedule(instance, plan)
+    trace = evaluate_schedule(instance, _equilibrium_plan(solver))
     greedy_trace, _ = greedy_schedule(instance)
     greedy_finals = greedy_trace.final_completions()
     deltas = tuple(a - b for a, b in zip(finals, greedy_finals))
@@ -305,38 +308,18 @@ def check_greedy_spne(
     strictly better alternative is returned as a concrete deviation; greedy
     play continues regardless so all nodes get checked.
     """
-    model = model or ActionModel()
-    limits = limits or DEFAULT_LIMITS
-    _check_limits(instance, limits)
     solver = _GameSolver(instance, model, limits)
+    path = list(_walk(solver, _greedy_pick(instance)))
     deviations: list[Deviation] = []
-    state = solver.with_batch(solver.initial_state())
-    index = 0
-    while state[2]:
-        greedy_act = solver.greedy_action(state)
+    for index, (state, greedy_act) in enumerate(path):
         j = state[2][0]
-        greedy_value = solver.value(solver.apply(state, greedy_act))[j]
-        best_alt: tuple[int, Action] | None = None
-        for action in solver.actions(state):
-            if action == greedy_act:
-                continue
-            value = solver.value(solver.apply(state, action))[j]
-            if best_alt is None or value < best_alt[0]:
-                best_alt = (value, action)
-        if best_alt is not None and best_alt[0] < greedy_value:
-            deviations.append(
-                Deviation(
-                    index,
-                    solver.node_view(state),
-                    greedy_act,
-                    solver.time(greedy_value),
-                    best_alt[1],
-                    solver.time(best_alt[0]),
-                )
-            )
-        state = solver.with_batch(solver.apply(state, greedy_act))
-        index += 1
-    return SpneCertificate(not deviations, tuple(deviations), index)
+        values = {action: solver.value(solver.apply(state, action))[j] for action in solver.actions(state)}
+        greedy_value = values.pop(greedy_act)
+        best = min(values, key=values.__getitem__, default=None)  # the first least, in action order
+        if best is not None and values[best] < greedy_value:
+            greedy_time, time = solver.time(greedy_value), solver.time(values[best])
+            deviations.append(Deviation(index, solver.node_view(state), greedy_act, greedy_time, best, time))
+    return SpneCertificate(not deviations, tuple(deviations), len(path))
 
 
 def verify_deviation(
@@ -347,17 +330,15 @@ def verify_deviation(
 ) -> bool:
     """Replay greedy up to the deviation node, apply the deviating action, and
     solve the subgame; True iff the claimed value and improvement reproduce."""
-    model = model or ActionModel()
-    limits = limits or DEFAULT_LIMITS
-    _check_limits(instance, limits)
     solver = _GameSolver(instance, model, limits)
-    state = solver.with_batch(solver.initial_state())
-    for _ in range(deviation.decision_index):
-        if not state[2]:
-            return False
-        state = solver.with_batch(solver.apply(state, solver.greedy_action(state)))
-    if not state[2] or state[2][0] != deviation.node.job:
+    for index, (state, greedy_act) in enumerate(_walk(solver, _greedy_pick(instance))):
+        if index >= deviation.decision_index:
+            break
+    else:
         return False
-    greedy_value = solver.time(solver.value(solver.apply(state, solver.greedy_action(state)))[deviation.node.job])
-    value = solver.time(solver.value(solver.apply(state, deviation.action))[deviation.node.job])
+    job = deviation.node.job
+    if state[2][0] != job:
+        return False
+    greedy_value = solver.time(solver.value(solver.apply(state, greedy_act))[job])
+    value = solver.time(solver.value(solver.apply(state, deviation.action))[job])
     return value == deviation.value and greedy_value == deviation.greedy_value and value < greedy_value

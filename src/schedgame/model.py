@@ -267,11 +267,21 @@ def time_grid(sizes: Sequence[Scalar], speeds: Sequence[Scalar]) -> tuple[int, l
     plain ints and divide by L only for the results they return. An L of
     more than MAX_GRID_BITS bits is refused with a ModelError.
     """
-    times = [[size / speed for speed in speeds] for size in sizes]
-    scale = math.lcm(*(t.denominator for row in times for t in row))
+    # size a/b over speed c/d is (a*d)/(b*c): one gcd reduces it, no Fraction is built
+    speed_terms = [(speed.denominator, speed.numerator) for speed in speeds]
+    times = []
+    for size in sizes:
+        a, b = size.numerator, size.denominator
+        row = []
+        for d, c in speed_terms:
+            num, den = a * d, b * c
+            g = math.gcd(num, den)
+            row.append((num // g, den // g))
+        times.append(row)
+    scale = math.lcm(*(den for row in times for _, den in row))
     if scale.bit_length() > MAX_GRID_BITS:
         raise ModelError(f"time grid needs a {scale.bit_length()}-bit denominator (cap {MAX_GRID_BITS})")
-    return scale, [[to_ticks(t, scale) for t in row] for row in times]
+    return scale, [[num * (scale // den) for num, den in row] for row in times]
 
 
 @dataclass(frozen=True)
@@ -359,7 +369,7 @@ def as_plan(obj: Sequence[Sequence[Sequence[int]]]) -> Plan:
     """Normalize nested sequences into the canonical tuple-of-tuples plan."""
     try:
         plan = tuple(tuple((int(e[0]), int(e[1])) for e in stage) for stage in obj)
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, LookupError, OverflowError) as exc:  # Overflow: an Infinity entry
         raise PlanError([f"plan entries must be (machine, position) pairs: {exc}"]) from exc
     return plan
 

@@ -6,6 +6,7 @@ stay independent.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from schedgame import Instance
@@ -294,3 +295,11 @@ def naive_report_json(inequality, stage, rows, params, minimal_t=None, precision
             for label, lhs, rhs in rows
         ],
     }
+
+
+def naive_time_grid(sizes, speeds):
+    """`model.time_grid` from `Fraction` quotients: (L, ticks) with L the lcm of
+    every size/speed's denominator and ticks[j][i] = L * size_j / speed_i."""
+    times = [[size / speed for speed in speeds] for size in sizes]
+    scale = math.lcm(*(t.denominator for row in times for t in row))
+    return scale, [[t.numerator * (scale // t.denominator) for t in row] for row in times]

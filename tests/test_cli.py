@@ -219,6 +219,14 @@ class TestVerifyBounds:
         assert payload["holds"] is False
         assert any(not row["holds"] for row in payload["rows"])
 
+    @pytest.mark.parametrize("limits", ["bogus=1", "node_budget=0"])
+    def test_limits_are_parsed_without_with_opt(self, capsys, tmp_path, limits):
+        path = write_instance(tmp_path, gen_appendix_example())
+        code, out, err = run_cli(capsys, ["verify-bounds", "-i", path, "--limits", limits])
+        assert code == 2
+        assert err.startswith("error:") and "limit" in err
+        assert "Traceback" not in err and out == ""
+
 
     @pytest.mark.parametrize(
         "argv, expected, code",
@@ -377,6 +385,18 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, [command, "--precision", precision], stdin=raw, monkeypatch=monkeypatch)
         assert code == 2
         assert "error:" in err
+        assert "Traceback" not in err and out == ""
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate", "--family", "appendix"], ["sweep", "--family", "appendix", "--ops", "greedy"]],
+        ids=["generate", "sweep"],
+    )
+    def test_precision_only_where_something_is_rendered(self, capsys, argv):
+        code, out, err = run_cli(capsys, [*argv, "--precision", "3"])
+        assert code == 2
+        assert "unrecognized arguments: --precision 3" in err
         assert "Traceback" not in err and out == ""
 
 

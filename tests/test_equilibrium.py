@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -18,6 +19,8 @@ from schedgame import (
     validate_trace,
     verify_deviation,
 )
+
+from schedgame import equilibrium
 
 from helpers import brute_force_spne
 
@@ -180,3 +183,49 @@ def test_large_game_within_small_node_budget():
     assert result.final_completions == (F(34, 9), F(293, 45), F(46, 9), F(101, 45), F(73, 9))
     assert result.deltas == (0, 0, 0, -F(14, 3), -F(2, 5))
     assert not result.greedy_is_spne_outcome
+
+
+# Nodes each call expands: (spne_solve defer, no-defer, check_greedy_spne defer, no-defer)
+EFFORT = [
+    ("appendix", appendix_instance(), (17, 9, 16, 8)),
+    ("random-5-3-seed5", gen_random(5, 3, seed=5), (18573, 5077, 18572, 5076)),
+    ("random-4-2-seed1", gen_random(4, 2, seed=1), (580, 155, 579, 154)),
+]
+EFFORT_CALLS = [(spne_solve, True), (spne_solve, False), (check_greedy_spne, True), (check_greedy_spne, False)]
+
+
+@pytest.mark.parametrize(
+    "instance, solve, allow_defer, need",
+    [
+        pytest.param(inst, solve, defer, need, id=f"{name}-{solve.__name__}-{'defer' if defer else 'no-defer'}")
+        for name, inst, needs in EFFORT
+        for (solve, defer), need in zip(EFFORT_CALLS, needs)
+    ],
+)
+def test_node_budget_is_exact(instance, solve, allow_defer, need):
+    # through the public API: a budget of `need` nodes suffices and one fewer is refused
+    model = ActionModel(allow_defer=allow_defer)
+    solve(instance, model, SearchLimits(node_budget=need))
+    with pytest.raises(LimitsExceeded, match=f"node budget of {need - 1}$"):
+        solve(instance, model, SearchLimits(node_budget=need - 1))
+
+
+class TestGreedyPath:
+    @given(st.integers(0, 10**6), st.booleans())
+    def test_each_pick_is_the_least_available_lowest_index_machine(self, seed, allow_defer):
+        # the rule is re-derived here from the solver state check_greedy_spne walks
+        inst = gen_random(1 + seed % 4, 1 + seed % 3, (1, 4), seed=seed)
+        walked = []
+        walk = equilibrium._walk
+
+        def recording_walk(solver, pick):
+            for state, action in walk(solver, pick):
+                walked.append((state, action))
+                yield state, action
+
+        with mock.patch.object(equilibrium, "_walk", recording_walk):
+            cert = check_greedy_spne(inst, ActionModel(allow_defer=allow_defer), SearchLimits(max_machines=4))
+        assert len(walked) == cert.decisions_checked == inst.n * inst.k  # greedy never defers
+        for (machines, jobs, batch, _), machine in walked:
+            available = machines[jobs[batch[0]][0]]
+            assert machine == min(range(len(available)), key=lambda a: (available[a], a))

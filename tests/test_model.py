@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from schedgame import (
@@ -20,15 +20,19 @@ from schedgame import (
     validate_trace,
 )
 from schedgame.model import (
+    MAX_GRID_BITS,
     MAX_MACHINES,
     MAX_STAGES,
     format_decimal_ticks,
     format_ticks,
     queues_to_plan,
+    time_grid,
     trace_queues,
     trace_to_csv,
     trace_to_json,
 )
+
+from helpers import naive_time_grid
 
 small_fractions = st.fractions(min_value=F(1, 8), max_value=10, max_denominator=8)
 
@@ -247,6 +251,23 @@ class TestValidateTrace:
         inst, trace = self._trace()
         tampered = ScheduleTrace.from_records(trace.records, trace.makespan + 1)
         assert any("makespan" in p for p in validate_trace(inst, tampered))
+
+
+class TestTimeGrid:
+    # numerators and denominators of up to 30 digits
+    wide_fractions = st.builds(F, st.integers(1, 10**30), st.integers(1, 10**30))
+
+    @given(st.lists(wide_fractions, min_size=1, max_size=8), st.lists(wide_fractions, min_size=1, max_size=6))
+    @example(sizes=[F(1, 3**6000)], speeds=[F(1)])  # a 9510-bit lcm
+    @example(sizes=[F(1, 2**8191)], speeds=[F(1)])  # exactly MAX_GRID_BITS bits
+    @example(sizes=[F(10, 1), F(1)], speeds=[F(1), F(2, 5), F(10)])  # the appendix instance
+    def test_matches_fraction_quotients(self, sizes, speeds):
+        scale, ticks = naive_time_grid(sizes, speeds)
+        if scale.bit_length() > MAX_GRID_BITS:
+            with pytest.raises(ModelError, match=f"{scale.bit_length()}-bit denominator"):
+                time_grid(sizes, speeds)
+        else:
+            assert time_grid(sizes, speeds) == (scale, ticks)
 
 
 class TestScaleCovariance:
