@@ -290,17 +290,15 @@ def _replay_plan(instance: Instance, path: str) -> ScheduleTrace:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     if args.plan is not None:
-        trace = _replay_plan(instance, args.plan)
-        events_json: list[dict] | None = None
+        trace, log = _replay_plan(instance, args.plan), None
     else:
-        trace, events = greedy_schedule(instance)
-        events_json = events_to_json(events, args.precision)
+        trace, log = greedy_schedule(instance)
     if args.format == "csv":
         _write_output(trace_to_csv(trace, args.precision), args.output)
     else:
         payload = {"policy": "plan" if args.plan else "greedy", "trace": trace_to_json(trace, args.precision)}
-        if events_json is not None:
-            payload["events"] = events_json
+        if log is not None:
+            payload["events"] = events_to_json(log, args.precision)
         _write_output(_dumps(payload), args.output)
     return 0
 

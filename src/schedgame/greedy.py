@@ -4,15 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterator
 
 from .model import (
-    ZERO,
     Instance,
     Scalar,
     ScheduleTrace,
-    format_decimal,
-    format_scalar,
+    StageSpec,
+    format_decimal_ticks,
+    format_ticks,
     time_grid,
 )
 
@@ -28,7 +28,27 @@ class GreedyEvent:
     machine: int
 
 
-def greedy_schedule(instance: Instance) -> tuple[ScheduleTrace, list[GreedyEvent]]:
+@dataclass(frozen=True)
+class GreedyLog:
+    """Greedy's decision log as a view of its trace: each stage's GreedyEvents in `release_order`."""
+
+    trace: ScheduleTrace
+    stages: tuple[StageSpec, ...]
+
+    def __len__(self) -> int:
+        return self.trace.n * self.trace.k
+
+    def __iter__(self) -> Iterator[GreedyEvent]:
+        scale = self.trace.scale
+        for i, spec in enumerate(self.stages):
+            loads = [Fraction(0)] * spec.machines
+            for j in release_order(self.trace, i):
+                machine, release, _, completion = self.trace.grid[j][i]
+                yield GreedyEvent(Fraction(release, scale), j, i, tuple(loads), machine)
+                loads[machine] = spec.speed * completion / scale
+
+
+def greedy_schedule(instance: Instance) -> tuple[ScheduleTrace, GreedyLog]:
     """Simulate every job joining the least-loaded machine as it is released.
 
     Stage-0 decisions happen at t = 0 in instance order. At later stages jobs
@@ -39,25 +59,20 @@ def greedy_schedule(instance: Instance) -> tuple[ScheduleTrace, list[GreedyEvent
     n = instance.n
     scale, ticks = time_grid(instance.sizes(), [s.speed for s in instance.stages])
     grid: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-    events: list[GreedyEvent] = []
     releases = [0] * n
     for i, spec in enumerate(instance.stages):
         # a machine's load is speed times the time its queue drains; with one
         # speed per stage the least load is the earliest drain time
         available = [0] * spec.machines
-        loads = [ZERO] * spec.machines
-        load_per_tick = spec.speed / scale
         for j in sorted(range(n), key=releases.__getitem__):
             chosen = available.index(min(available))
             release = releases[j]
-            events.append(GreedyEvent(Fraction(release, scale), j, i, tuple(loads), chosen))
             start = release if release > available[chosen] else available[chosen]
             completion = available[chosen] = start + ticks[j][i]
-            loads[chosen] = load_per_tick * completion
             grid[j].append((chosen, release, start, completion))
         releases = [row[i][3] for row in grid]
     trace = ScheduleTrace(scale, tuple(map(tuple, grid)), max(row[-1][3] for row in grid))
-    return trace, events
+    return trace, GreedyLog(trace, instance.stages)
 
 
 def release_order(trace: ScheduleTrace, stage: int) -> list[int]:
@@ -71,28 +86,23 @@ def release_order(trace: ScheduleTrace, stage: int) -> list[int]:
     return sorted(range(trace.n), key=lambda j: (trace.grid[j][stage][1], j))
 
 
-def events_to_json(events: Iterable[GreedyEvent], precision: int = 6) -> list[dict]:
-    # A load stays the same object from one snapshot to the next until its
-    # machine is picked, so each distinct load object is formatted once.
-    text: dict[int, str] = {}
-    held = []  # every formatted load stays alive, so no id in `text` is reused
-    lookup = text.get
+def events_to_json(log: GreedyLog, precision: int = 6) -> list[dict]:
+    """The decision log's JSON rows, rendered from the trace's ticks."""
+    trace, scale = log.trace, log.trace.scale
     out = []
-    for e in events:
-        loads = list(map(lookup, map(id, e.loads)))
-        while None in loads:
-            i = loads.index(None)
-            x = e.loads[i]
-            held.append(x)
-            loads[i] = text[id(x)] = format_scalar(x)
-        out.append(
-            {
-                "time": format_scalar(e.time),
-                "time_decimal": format_decimal(e.time, precision),
-                "job": e.job,
-                "stage": e.stage,
-                "loads": loads,
-                "machine": e.machine,
-            }
-        )
+    for i, spec in enumerate(log.stages):
+        loads = ["0"] * spec.machines
+        for j in release_order(trace, i):
+            machine, release, _, completion = trace.grid[j][i]
+            out.append(
+                {
+                    "time": format_ticks(release, scale),
+                    "time_decimal": format_decimal_ticks(release, scale, precision),
+                    "job": j,
+                    "stage": i,
+                    "loads": loads.copy(),
+                    "machine": machine,
+                }
+            )
+            loads[machine] = format_ticks(spec.speed.numerator * completion, spec.speed.denominator * scale)
     return out

@@ -15,6 +15,7 @@ import csv
 import functools
 import io
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -366,12 +367,25 @@ Queues = Sequence[Sequence[Sequence[int]]]
 
 
 def as_plan(obj: Sequence[Sequence[Sequence[int]]]) -> Plan:
-    """Normalize nested sequences into the canonical tuple-of-tuples plan."""
-    try:
-        plan = tuple(tuple((int(e[0]), int(e[1])) for e in stage) for stage in obj)
-    except (TypeError, ValueError, LookupError, OverflowError) as exc:  # Overflow: an Infinity entry
-        raise PlanError([f"plan entries must be (machine, position) pairs: {exc}"]) from exc
-    return plan
+    """Normalize nested sequences into the canonical tuple-of-tuples plan.
+
+    The plan and each of its stages must be a list or tuple, and each entry a
+    list or tuple of exactly two ints. Nothing is converted: a float, string or bool entry is
+    a PlanError naming its stage and job.
+    """
+    if not isinstance(obj, (list, tuple)):
+        raise PlanError(["a plan must be a list of stages"])
+    plan = []
+    for i, stage in enumerate(obj):
+        if not isinstance(stage, (list, tuple)):
+            raise PlanError([f"stage {i}: expected a list of (machine, position) pairs, got {reprlib.repr(stage)}"])
+        for j, entry in enumerate(stage):
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and all(type(x) is int for x in entry)):
+                raise PlanError(
+                    [f"stage {i}, job {j}: plan entry {reprlib.repr(entry)} is not a (machine, position) pair of ints"]
+                )
+        plan.append(tuple(map(tuple, stage)))
+    return tuple(plan)
 
 
 def plan_to_json(plan: Plan) -> list:
@@ -379,8 +393,6 @@ def plan_to_json(plan: Plan) -> list:
 
 
 def plan_from_json(data: object) -> Plan:
-    if not isinstance(data, list):
-        raise PlanError(["plan JSON must be a list of stages"])
     return as_plan(data)
 
 

@@ -102,6 +102,32 @@ def naive_replay(instance: Instance, queues) -> list:
     return records
 
 
+def naive_greedy(instance: Instance):
+    """Greedy least-loaded play simulated in `Fraction`s, one load snapshot per decision.
+
+    A machine's load is its stage speed times the time its queue drains. At
+    each stage the jobs decide in (release, id) order; each joins the least
+    loaded machine (ties to the lowest index) and is served first come, first
+    served. Returns (records, events): per job its per-stage (machine,
+    release, start, completion), and per decision (time, job, stage, loads,
+    machine), stage by stage.
+    """
+    release = [Fraction(0)] * instance.n
+    records: list[list[tuple]] = [[] for _ in instance.jobs]
+    events = []
+    for i, spec in enumerate(instance.stages):
+        loads = [Fraction(0)] * spec.machines
+        for j in sorted(range(instance.n), key=lambda j: (release[j], j)):
+            machine = min(range(spec.machines), key=lambda a: (loads[a], a))
+            events.append((release[j], j, i, tuple(loads), machine))
+            start = max(release[j], loads[machine] / spec.speed)
+            completion = start + instance.jobs[j].size / spec.speed
+            loads[machine] = spec.speed * completion
+            records[j].append((machine, release[j], start, completion))
+        release = [row[i][3] for row in records]
+    return records, events
+
+
 def brute_force_spne(instance: Instance, allow_defer: bool) -> dict:
     """Subgame-perfect play of the machine-choice game by plain backward induction.
 

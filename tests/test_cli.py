@@ -75,6 +75,29 @@ class TestSimulate:
         assert lines[0].startswith("job,stage,machine,release,start,completion")
         assert len(lines) == 1 + 2 * 3
 
+    def test_csv_does_not_render_the_decision_log(self, capsys, monkeypatch, tmp_path):
+        path = write_instance(tmp_path, gen_appendix_example())
+        argv = ["simulate", "-i", path, "--format", "csv"]
+        expected = run_cli(capsys, argv)
+
+        def refuse(*args):
+            raise AssertionError("the CSV output has no decision log to render")
+
+        monkeypatch.setattr("schedgame.cli.events_to_json", refuse)
+        assert run_cli(capsys, argv) == expected
+        assert expected[0] == 0
+
+    # entries that are not two ints: a float, a bool, a numeric string, a third item, a dict
+    @pytest.mark.parametrize("entry", [[0.9, 0], [False, "1"], [0, "1"], [0, 0, 7], {}], ids=repr)
+    @pytest.mark.parametrize("command", ["simulate", "verify-bounds"])
+    def test_plan_entries_must_be_int_pairs(self, capsys, tmp_path, command, entry):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps([[[0, 0], entry], [[0, 0], [1, 0]], [[0, 0], [0, 1]]]))
+        code, out, err = run_cli(capsys, [command, "-i", str(GOLDEN / "appendix.json"), "--plan", str(plan)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"stage 0, job 1: plan entry {entry!r} is not a (machine, position) pair of ints" in err
+
     def test_empty_jobs_is_a_parse_error(self, capsys, monkeypatch):
         bad = '{"stages":[{"machines":1,"speed":"1"}],"jobs":[]}'
         code, _, err = run_cli(capsys, ["simulate"], stdin=bad, monkeypatch=monkeypatch)
@@ -251,12 +274,15 @@ class TestJsonOutput:
         "command, expected",
         [
             ("simulate", "simulate_appendix.json"),
+            # 5/5/3 machines: three decisions tie at a nonzero load, 8 records wait
+            ("simulate", "simulate_random_wide.json"),
             ("poa", "poa_appendix.json"),
             ("spne", "spne_appendix.json"),
         ],
     )
     def test_output_is_byte_identical_to_golden(self, capsys, command, expected):
-        argv = [command, "-i", str(GOLDEN / "appendix.json")]
+        # each golden is named after its command and its input instance
+        argv = [command, "-i", str(GOLDEN / expected.removeprefix(f"{command}_"))]
         assert run_cli(capsys, argv) == (0, (GOLDEN / expected).read_text(), "")
 
     @pytest.mark.parametrize(

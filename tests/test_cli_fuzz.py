@@ -84,7 +84,14 @@ def plan_texts(draw, instance):
             plan.append(stage)
         return json.dumps(plan)
     if kind == "shape":
-        entry = st.one_of(st.lists(st.integers(-1, 3), min_size=2, max_size=2), JUNK)
+        # near-pairs: a float, bool or numeric-string item, or a third item
+        item = st.one_of(st.integers(-1, 3), st.sampled_from([0.0, 0.9, 1.5, True, False, "0", "1", " 2"]))
+        entry = st.one_of(
+            st.lists(st.integers(-1, 3), min_size=2, max_size=2),
+            st.lists(item, min_size=2, max_size=2),
+            st.lists(st.integers(-1, 3), min_size=3, max_size=3),
+            JUNK,
+        )
         return json.dumps(draw(st.lists(st.lists(entry, max_size=5), max_size=4)))
     return draw(JUNK_TEXT)
 

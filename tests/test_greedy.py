@@ -16,7 +16,7 @@ from schedgame import (
 )
 from schedgame.greedy import events_to_json
 from schedgame.model import format_decimal, format_scalar, queues_to_plan, trace_queues
-from helpers import list_schedule, naive_replay
+from helpers import list_schedule, naive_greedy, naive_replay
 
 
 def _record_tuples(trace):
@@ -31,9 +31,9 @@ def test_three_jobs_two_machines():
     # [1,1,2] in that order: units split across machines, the size-2 job then
     # doubles up on machine 0
     inst = Instance.from_sizes([1, 1, 2], [(2, 1)])
-    trace, events = greedy_schedule(inst)
-    assert [e.machine for e in events] == [0, 1, 0]
-    assert events[2].loads == (1, 1)
+    trace, log = greedy_schedule(inst)
+    assert [e.machine for e in log] == [0, 1, 0]
+    assert list(log)[2].loads == (1, 1)
     assert trace.makespan == 3
 
 
@@ -124,8 +124,8 @@ class TestGreedyProperties:
     def test_choice_certificate(self, seed):
         # every logged decision picks the load minimum, lowest index on ties
         inst = gen_random(n=1 + seed % 6, k=1 + seed % 3, seed=seed)
-        _, events = greedy_schedule(inst)
-        for event in events:
+        _, log = greedy_schedule(inst)
+        for event in log:
             best = min(range(len(event.loads)), key=lambda a: (event.loads[a], a))
             assert event.machine == best
 
@@ -133,8 +133,8 @@ class TestGreedyProperties:
     def test_no_idle_machine_while_waiting(self, seed):
         # a job that waits found every machine occupied at its decision time
         inst = gen_random(n=2 + seed % 5, k=1 + seed % 3, seed=seed)
-        trace, events = greedy_schedule(inst)
-        for event in events:
+        trace, log = greedy_schedule(inst)
+        for event in log:
             rec = trace.records[event.job][event.stage]
             if rec.start > rec.release:
                 speed = inst.stages[event.stage].speed
@@ -185,18 +185,32 @@ def naive_events_json(events, precision):
 
 
 class TestEventsToJson:
-    """`events_to_json` formats each load object once; the text must equal formatting every entry."""
+    """`events_to_json` renders loads from the trace's ticks; the text must equal formatting every entry."""
 
     @given(st.integers(0, 2**32), st.integers(1, 12), st.integers(1, 3), st.integers(0, 100))
     def test_matches_per_entry_formatting(self, seed, n, k, precision):
-        _, events = greedy_schedule(gen_random(n, k, (1, 6), seed=seed))
-        assert events_to_json(events, precision) == naive_events_json(events, precision)
+        _, log = greedy_schedule(gen_random(n, k, (1, 6), seed=seed))
+        assert events_to_json(log, precision) == naive_events_json(log, precision)
 
-    def test_events_from_a_generator(self):
-        # each event, and so each load, is freed once rendered: a later load
-        # may get a freed one's id, which must not bring back its text
-        def events():
-            for i in range(200):
-                yield GreedyEvent(F(i, 3), i, 0, (F(i, 7), F(i + 1, 7), F(0)), i % 3)
 
-        assert events_to_json(events(), 2) == naive_events_json(events(), 2)
+class TestNaiveGreedyOracle:
+    """The trace and the decision log read off it match a textbook Fraction simulation."""
+
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 10),
+        st.integers(1, 3),
+        # equal sizes are drawn often, so decisions often tie at a nonzero load
+        st.sampled_from([(1, 1, 1), (1, 2, 1), (2, 3, 1), (1, 6, 3)]),
+        st.integers(0, 100),
+    )
+    def test_trace_and_log_match_the_oracle(self, seed, n, k, size_range, precision):
+        inst = gen_random(n, k, (1, 8), size_range=size_range, seed=seed)
+        trace, log = greedy_schedule(inst)
+        records, events = naive_greedy(inst)
+        assert [[(r.machine, r.release, r.start, r.completion) for r in row] for row in trace.records] == records
+        assert trace.makespan == max(row[-1][3] for row in records)
+        oracle = [GreedyEvent(*event) for event in events]
+        assert len(log) == len(oracle)
+        assert list(log) == oracle
+        assert events_to_json(log, precision) == naive_events_json(oracle, precision)

@@ -23,6 +23,7 @@ from schedgame.model import (
     MAX_GRID_BITS,
     MAX_MACHINES,
     MAX_STAGES,
+    as_plan,
     format_decimal_ticks,
     format_ticks,
     queues_to_plan,
@@ -213,6 +214,18 @@ class TestEvaluateSchedule:
         with pytest.raises(PlanError) as err:
             evaluate_schedule(inst, plan)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize(
+        "entry", [[0.9, 0], (False, 1), [True, 0], [0, "1"], ["0", 0], [0, 0, 7], [0], {}, None, 3], ids=repr
+    )
+    def test_plan_entries_must_be_int_pairs(self, entry):
+        with pytest.raises(PlanError, match=r"^stage 1, job 0: plan entry .* is not a \(machine, position\) pair"):
+            as_plan([[(0, 0), (0, 1)], [entry, (0, 1)]])
+
+    @pytest.mark.parametrize("plan, message", [({}, "a plan must be a list of stages"), ([[], 7], "stage 1: expected")])
+    def test_plan_and_stages_must_be_lists(self, plan, message):
+        with pytest.raises(PlanError, match=message):
+            as_plan(plan)
 
 
 class TestValidateTrace:
