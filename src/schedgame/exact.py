@@ -1,16 +1,23 @@
 """Exact optimal makespan via exhaustive search, plus certified lower bounds.
 
-The solver explores every plan (per-stage machine assignment and per-machine
-queue order) with branch-and-bound pruning, machine-symmetry breaking, and
-dominance filtering on stage completion vectors. It either certifies the exact
-optimum or refuses; it never silently approximates.
+The solver explores every plan of the non-final stages (per-stage machine
+assignment and per-machine queue order) and every machine assignment of the
+last stage, whose machines serve in order of release: there only the makespan
+matters, and one machine with release dates finishes soonest that way
+(Jackson's rule). Branch-and-bound pruning, machine-symmetry breaking, and
+dominance filtering on stage completion vectors cut the search. It either
+certifies the exact optimum or refuses; it never silently approximates.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import le
 
 from .greedy import greedy_schedule
 from .model import Instance, Job, Plan, Queues, Scalar, ScheduleTrace, queues_to_plan, time_grid, trace_queues
@@ -33,8 +40,10 @@ class SearchLimits:
     An instance beyond the caps is refused rather than approximated, except
     when a heuristic plan already matches the certified lower bound, in which
     case the optimum is known without searching. Multi-stage instances face
-    the tighter `max_jobs_multistage` cap because their plan space also
-    enumerates queue orders.
+    the tighter `max_jobs_multistage` cap because the search also enumerates
+    the queue orders of every stage but the last. `node_budget` caps the
+    search nodes: in `optimal_makespan` one attempt to place a job on a
+    machine, in `single_stage_optimal` one partial assignment expanded.
     """
 
     max_jobs: int = 8
@@ -143,11 +152,36 @@ def optimal_makespan(instance: Instance, limits: SearchLimits | None = None) -> 
     return _PlanSearch(instance, limits, ub, ub_queues, analytic_lb).run()
 
 
-def _dominated(vec: tuple[int, ...], archive: list[tuple[int, ...]]) -> bool:
-    for prev in archive:
-        if all(a <= b for a, b in zip(prev, vec)):
+def _dominated(vec: tuple[int, ...], candidates: Iterable[tuple[int, ...]]) -> bool:
+    """Whether some candidate is componentwise at most `vec`."""
+    for prev in candidates:
+        if all(map(le, prev, vec)):
             return True
     return False
+
+
+class _Archive:
+    """The release vectors already expanded into one stage, sorted by sum.
+
+    A vector that dominates another has a sum no larger, so a dominance test
+    scans only the prefix of sums up to the tested vector's.
+    """
+
+    __slots__ = ("vecs", "sums")
+
+    def __init__(self) -> None:
+        self.vecs: list[tuple[int, ...]] = []
+        self.sums: list[int] = []
+
+    def admit(self, vec: tuple[int, ...]) -> bool:
+        """Record `vec` unless an archived vector dominates it; return whether it was recorded."""
+        total = sum(vec)
+        end = bisect_right(self.sums, total)
+        if _dominated(vec, islice(self.vecs, end)):
+            return False
+        self.vecs.insert(end, vec)
+        self.sums.insert(end, total)
+        return True
 
 
 class _PlanSearch:
@@ -182,7 +216,7 @@ class _PlanSearch:
             for j2 in range(j):
                 if instance.jobs[j2].size == instance.jobs[j].size:
                     self.equal_pred_mask[j] |= 1 << j2
-        self.archives: list[list[tuple[int, ...]]] = [[] for _ in range(self.k)]
+        self.archives = [_Archive() for _ in range(self.k - 1)]
         self.nodes = 0
         self.node_budget = limits.node_budget
 
@@ -222,23 +256,54 @@ class _PlanSearch:
 
     def _expand(self, stage_i: int, releases: tuple[int, ...], prefix: list) -> None:
         if stage_i == self.k - 1:
-            # a full plan: only its makespan matters
-            def finish(comps: list[int], seqs: list[list[int]]) -> None:
-                if max(comps) < self.best:
-                    self.best = max(comps)
-                    self.best_seqs = tuple(prefix) + (tuple(tuple(s) for s in seqs),)
-                    if self.best <= self.target:
-                        raise _Done
-
-            return self._enumerate(stage_i, releases, finish)
+            return self._last_stage(releases, prefix)
         archive = self.archives[stage_i]
         for comps, seqs in self._stage_plans(stage_i, releases):
-            if self._vector_lb(stage_i + 1, comps) >= self.best:
+            if self._vector_lb(stage_i + 1, comps) >= self.best or not archive.admit(comps):
                 continue
-            if _dominated(comps, archive):
-                continue
-            archive.append(comps)
             self._expand(stage_i + 1, comps, prefix + [seqs])
+
+    def _last_stage(self, releases: tuple[int, ...], prefix: list) -> None:
+        """Try every machine assignment of the last stage, each queue in (release, id) order.
+
+        Only the makespan matters here, and one machine with release dates
+        finishes its jobs soonest by serving them in order of release (1|r_j|C_max,
+        Jackson's rule), so queue orders need no search. Jobs are placed in
+        (release, id) order, each on an opened machine or on the next one to
+        open, which breaks machine symmetry. A placement that brings the
+        stage's makespan up to the incumbent is pruned, so a full assignment
+        becomes the new incumbent.
+        """
+        stage_i = self.k - 1
+        m = self.machines[stage_i]
+        order = sorted(range(self.n), key=lambda j: (releases[j], j))
+        execs = [self.exec_int[j][stage_i] for j in range(self.n)]
+        avail = [0] * m
+        seqs: list[list[int]] = [[] for _ in range(m)]
+
+        def place(pos: int, opened: int, span: int) -> None:
+            if pos == self.n:
+                self.best = span
+                self.best_seqs = tuple(prefix) + (tuple(map(tuple, seqs)),)
+                if span <= self.target:
+                    raise _Done
+                return
+            j = order[pos]
+            r, e = releases[j], execs[j]
+            for a in range(min(opened + 1, m)):
+                self._tick()
+                free = avail[a]
+                c = (r if r > free else free) + e
+                reach = c if c > span else span
+                if reach >= self.best:
+                    continue
+                avail[a] = c
+                seqs[a].append(j)
+                place(pos + 1, max(opened, a + 1), reach)
+                seqs[a].pop()
+                avail[a] = free
+
+        place(0, 0, 0)
 
     def _stage_plans(self, stage_i: int, releases: tuple[int, ...]):
         """A non-final stage's plans as (completion vector, machine sequences).
@@ -247,30 +312,24 @@ class _PlanSearch:
         smaller completion vector always continues at least as well) and sorted
         most promising first.
         """
-        out: dict[tuple[int, ...], tuple] = {}
-
-        def collect(comps: list[int], seqs: list[list[int]]) -> None:
-            key = tuple(comps)
-            if key not in out:
-                out[key] = tuple(tuple(s) for s in seqs)
-
-        self._enumerate(stage_i, releases, collect)
-        items = sorted(out.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        items = sorted(self._enumerate(stage_i, releases).items(), key=lambda kv: (sum(kv[0]), kv[0]))
         kept: list[tuple[tuple[int, ...], tuple]] = []
+        kept_vecs: list[tuple[int, ...]] = []
         for vec, plan_seqs in items:
-            if not _dominated(vec, [v for v, _ in kept]):
+            if not _dominated(vec, kept_vecs):
                 kept.append((vec, plan_seqs))
+                kept_vecs.append(vec)
         kept.sort(key=lambda kv: (max(kv[0]), kv[0]))
         return kept
 
-    def _enumerate(self, stage_i: int, releases: tuple[int, ...], leaf) -> None:
-        """Call leaf(comps, seqs) for every canonical FIFO plan of one stage.
+    def _enumerate(self, stage_i: int, releases: tuple[int, ...]) -> dict[tuple[int, ...], tuple]:
+        """Every canonical FIFO plan of a non-final stage, keyed by completion vector.
 
         Machine symmetry is broken by requiring each machine's queue to contain
         the smallest job id unused when it was opened, empties trailing. A job
         whose completion plus its remaining path cannot beat the incumbent is
-        not placed. `comps` and `seqs` are reused between leaves: a leaf that
-        keeps them must copy them. `leaf` may lower `self.best` or raise.
+        not placed. Each completion vector keeps the machine sequences of the
+        first plan that reached it.
         """
         m = self.machines[stage_i]
         execs = [self.exec_int[j][stage_i] for j in range(self.n)]
@@ -279,6 +338,7 @@ class _PlanSearch:
         full_mask = (1 << self.n) - 1
         comps = [0] * self.n
         seqs: list[list[int]] = [[]]
+        out: dict[tuple[int, ...], tuple] = {}
 
         def extend(machine_idx: int, avail: int, used: int, required: int) -> None:
             for j in range(self.n):
@@ -298,7 +358,9 @@ class _PlanSearch:
                 new_used = used | bit
                 new_required = -1 if j == required else required
                 if new_used == full_mask:
-                    leaf(comps, seqs)
+                    key = tuple(comps)
+                    if key not in out:
+                        out[key] = tuple(map(tuple, seqs))
                 else:
                     extend(machine_idx, c, new_used, new_required)
                     if new_required == -1 and machine_idx + 1 < m:
@@ -311,6 +373,7 @@ class _PlanSearch:
                 comps[j] = 0
 
         extend(0, 0, 0, 0)
+        return out
 
 
 def single_stage_optimal(

@@ -50,6 +50,11 @@ def brute_force_optimal(instance: Instance) -> Fraction:
     return best
 
 
+def dominated(vec: tuple, archive) -> bool:
+    """Whether some vector in `archive` is componentwise at most `vec`, by a plain scan."""
+    return any(all(a <= b for a, b in zip(prev, vec)) for prev in archive)
+
+
 def brute_force_partition(sizes: list[Fraction], m: int, s: Fraction) -> Fraction:
     """Minimum single-stage makespan: best max machine workload over speed."""
     best: Fraction | None = None

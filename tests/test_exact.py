@@ -19,8 +19,9 @@ from schedgame import (
     optimal_makespan,
     single_stage_optimal,
 )
-from schedgame.model import plan_from_json, plan_to_json
-from helpers import brute_force_optimal, brute_force_partition
+from schedgame import exact
+from schedgame.model import plan_from_json, plan_to_json, plan_to_queues, queues_to_plan
+from helpers import brute_force_optimal, brute_force_partition, dominated
 
 
 def _json_round_trip(plan):
@@ -137,6 +138,33 @@ class TestOptimalMakespan:
         assert result.status == "exact"
         assert result.makespan == brute_force_optimal(inst)
 
+    @pytest.mark.parametrize(
+        "n, k, machines, seed",
+        [
+            pytest.param(n, k, machines, seed, id=f"n{n}-k{k}-m1to{machines}-seed{seed}")
+            for n, k, machines, seeds in [(3, 2, 3, 12), (4, 2, 2, 8), (3, 3, 3, 6), (4, 3, 1, 4)]
+            for seed in range(seeds)
+        ],
+    )
+    def test_matches_brute_force_on_pipelines(self, n, k, machines, seed):
+        # the search orders only the non-final stages; the oracle orders every stage
+        inst = gen_random(n, k, (1, machines), seed=seed)
+        result = optimal_makespan(inst)
+        assert result.status == "exact"
+        assert result.makespan == brute_force_optimal(inst)
+
+    def test_last_stage_serves_in_release_order(self):
+        # every optimal plan serves a last-stage machine out of job-id order:
+        # the best plan that keeps each last-stage queue in id order reaches 7/2
+        inst = Instance.from_sizes([4, 2, 1], [(1, 3), (2, 2)])
+        result = optimal_makespan(inst)
+        assert result.status == "exact"
+        assert result.nodes > 0
+        assert result.makespan == F(10, 3) == brute_force_optimal(inst)
+        queues = plan_to_queues(inst, result.plan)
+        id_order = queues[:-1] + (tuple(tuple(sorted(queue)) for queue in queues[-1]),)
+        assert evaluate_schedule(inst, queues_to_plan(id_order)).makespan > result.makespan
+
     @given(st.integers(0, 300))
     def test_witness_replays_exactly(self, seed):
         inst = gen_random(n=1 + seed % 5, k=1 + seed % 3, seed=seed)
@@ -183,3 +211,59 @@ class TestOptimalMakespan:
         full = optimal_makespan(inst)
         assert full.status == "exact"
         assert limited.lower_bound <= full.makespan <= limited.makespan
+
+
+# (instance, nodes optimal_makespan spends on it): a change in search effort shows here
+EFFORT = [
+    ("random-5-2-seed0", gen_random(5, 2, seed=0), 1879),
+    ("random-6-2-seed3", gen_random(6, 2, seed=3), 1716),
+    ("random-4-3-seed0", gen_random(4, 3, seed=0), 698),
+]
+
+
+@pytest.mark.parametrize("instance, nodes", [pytest.param(inst, nodes, id=name) for name, inst, nodes in EFFORT])
+def test_node_budget_is_exact(instance, nodes):
+    # a budget of `nodes` reaches the same certified result and one fewer is exhausted
+    full = optimal_makespan(instance)
+    assert full.status == "exact"
+    assert full.nodes == nodes
+    assert optimal_makespan(instance, SearchLimits(node_budget=nodes)) == full
+    assert optimal_makespan(instance, SearchLimits(node_budget=nodes - 1)).status == "budget-exhausted"
+
+
+def _vectors(n: int):
+    # short vectors of small entries, so equal sums and duplicates are common
+    return st.tuples(*[st.integers(0, 3)] * n)
+
+
+# a list of same-length vectors and one more vector to test against it
+VECTORS = st.integers(1, 4).flatmap(lambda n: st.tuples(st.lists(_vectors(n), max_size=40), _vectors(n)))
+
+
+class TestDominance:
+    @given(VECTORS)
+    def test_archive_admits_exactly_the_undominated(self, case):
+        vecs, _ = case
+        archive = exact._Archive()
+        admitted: list = []
+        for vec in vecs:
+            fresh = not dominated(vec, admitted)
+            assert archive.admit(vec) == fresh
+            if fresh:
+                admitted.append(vec)
+        assert sorted(archive.vecs) == sorted(admitted)
+        assert archive.sums == [sum(vec) for vec in archive.vecs] == sorted(archive.sums)
+
+    @given(VECTORS)
+    def test_dominated_matches_the_plain_scan(self, case):
+        vecs, vec = case
+        assert exact._dominated(vec, vecs) == dominated(vec, vecs)
+
+    def test_archive_edge_cases(self):
+        archive = exact._Archive()
+        assert archive.admit((2, 1))  # the empty archive dominates nothing
+        assert not archive.admit((2, 1))  # a duplicate is dominated
+        assert archive.admit((1, 2))  # an equal sum alone does not dominate
+        assert not archive.admit((2, 2))
+        assert archive.admit((0, 5))
+        assert archive.vecs == [(2, 1), (1, 2), (0, 5)]
