@@ -56,12 +56,6 @@ class SigmaPermutation:
     stage: int
     order: tuple[int, ...]
 
-    def inverse(self) -> tuple[int, ...]:
-        inv = [0] * len(self.order)
-        for rank, j in enumerate(self.order):
-            inv[j] = rank
-        return tuple(inv)
-
 
 def sigma_permutation(completions: Sequence[Scalar | int], stage: int = 0) -> SigmaPermutation:
     """Sort job ids by (completion, id) for one stage's completion vector."""

@@ -20,7 +20,7 @@ from itertools import islice
 from operator import le
 
 from .greedy import greedy_schedule
-from .model import Instance, Job, Plan, Queues, Scalar, ScheduleTrace, queues_to_plan, time_grid, trace_queues
+from .model import Instance, Job, Plan, Queues, Scalar, ScheduleTrace, StageSpec, queues_to_plan, time_grid, trace_queues
 
 __all__ = [
     "SearchLimits",
@@ -35,15 +35,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Hard caps for the exhaustive solvers.
+    """Hard caps for the exhaustive solver.
 
     An instance beyond the caps is refused rather than approximated, except
     when a heuristic plan already matches the certified lower bound, in which
     case the optimum is known without searching. Multi-stage instances face
     the tighter `max_jobs_multistage` cap because the search also enumerates
-    the queue orders of every stage but the last. `node_budget` caps the
-    search nodes: in `optimal_makespan` one attempt to place a job on a
-    machine, in `single_stage_optimal` one partial assignment expanded.
+    the queue orders of every stage but the last. `max_machines` caps the
+    machines per stage of pipelines only: one stage is a partition of the
+    sizes. `node_budget` caps the search nodes; a node is one attempt to place
+    a job on a machine, pruned or not.
     """
 
     max_jobs: int = 8
@@ -100,19 +101,21 @@ def opt_lower_bounds(instance: Instance) -> tuple[Scalar, Scalar]:
     return path, total / rate
 
 
-def _heuristic_plan(instance: Instance) -> tuple[ScheduleTrace, Queues]:
+def _heuristic_plan(instance: Instance, ticks: list[list[int]]) -> tuple[ScheduleTrace, Queues]:
     """Best of a few greedy passes (priority order, sizes descending/ascending).
 
     Queues are order-free: relabelling a reordered instance's greedy queues
     back through `order` gives a plan that evaluates identically on the
-    original instance. Returns the best trace (all share one time grid) and its queues.
+    original instance. `ticks` is the instance's time grid, whose first column
+    orders the jobs by size. Returns the best trace (all share one time grid)
+    and its queues.
     """
     n = instance.n
     best: tuple[ScheduleTrace, Queues] | None = None
     orders = [
         list(range(n)),
-        sorted(range(n), key=lambda j: (-instance.jobs[j].size, j)),
-        sorted(range(n), key=lambda j: (instance.jobs[j].size, j)),
+        sorted(range(n), key=lambda j: (-ticks[j][0], j)),
+        sorted(range(n), key=lambda j: (ticks[j][0], j)),
     ]
     for order in orders:
         jobs = tuple(Job(pos, instance.jobs[j].size) for pos, j in enumerate(order))
@@ -130,26 +133,51 @@ def optimal_makespan(instance: Instance, limits: SearchLimits | None = None) -> 
     """Exact minimum makespan over every machine assignment and queue order.
 
     Certifies immediately when a heuristic plan meets the analytic lower
-    bound; otherwise refuses instances beyond `limits` and runs the full
-    branch-and-bound search. The central plan is not bound by arrival order,
-    so queues may place a later-released job first.
+    bound; otherwise refuses instances beyond `limits` (the machine cap only
+    for pipelines) and runs the full branch-and-bound search. The central plan
+    is not bound by arrival order, so queues may place a later-released job
+    first.
     """
     limits = limits or DEFAULT_LIMITS
-    path, bottleneck = opt_lower_bounds(instance)
-    analytic_lb = max(path, bottleneck)
-    ub, ub_queues = _heuristic_plan(instance)
-    if ub.makespan == analytic_lb:
-        return OptResult(ub.makespan, queues_to_plan(ub_queues), "exact", ub.makespan, 0)
     n, k = instance.n, instance.k
+    machines = [s.machines for s in instance.stages]
+    scale, ticks = time_grid(instance.sizes(), [s.speed for s in instance.stages])
+    stage_totals = [sum(column) for column in zip(*ticks)]
+    ub, ub_queues = _heuristic_plan(instance, ticks)
+    # opt_lower_bounds on the grid: the path bound is the largest row sum of
+    # `ticks`, the bottleneck bound the largest stage total over the stage's
+    # machine count. No plan beats either, so `span` meets the larger iff it
+    # is at most one of them.
+    span, path = ub.makespan_ticks, max(map(sum, ticks))
+    if span <= path or any(span * m <= total for m, total in zip(machines, stage_totals)):
+        return OptResult(ub.makespan, queues_to_plan(ub_queues), "exact", ub.makespan, 0)
     job_cap = limits.max_jobs if k == 1 else min(limits.max_jobs, limits.max_jobs_multistage)
     if n > job_cap:
         raise LimitsExceeded(f"{n} jobs exceeds the solver cap of {job_cap} for k={k}")
     if k > limits.max_stages:
         raise LimitsExceeded(f"{k} stages exceeds the solver cap of {limits.max_stages}")
-    worst_m = max(s.machines for s in instance.stages)
-    if worst_m > limits.max_machines:
-        raise LimitsExceeded(f"{worst_m} machines in a stage exceeds the cap of {limits.max_machines}")
-    return _PlanSearch(instance, limits, ub, ub_queues, analytic_lb).run()
+    if k > 1 and max(machines) > limits.max_machines:
+        raise LimitsExceeded(f"{max(machines)} machines in a stage exceeds the cap of {limits.max_machines}")
+    lower = max(Fraction(path), *(Fraction(total, m) for m, total in zip(machines, stage_totals)))
+    return _PlanSearch(instance, limits, scale, ticks, ub, ub_queues, lower).run()
+
+
+def single_stage_optimal(
+    jobs: list[Job] | tuple[Job, ...],
+    m: int,
+    s: Scalar,
+    limits: SearchLimits | None = None,
+) -> OptResult:
+    """Exact single-stage optimum: `optimal_makespan` on one stage of `m` machines at speed `s`.
+
+    With one stage and all releases at zero, queue order is irrelevant and the
+    search is an m-way partition of the sizes. Jobs are numbered by position.
+    A bad `m` or `s` raises an `InstanceError` (a ValueError).
+    """
+    if not jobs:
+        raise LimitsExceeded("no jobs")
+    stage = StageSpec(m, Fraction(s))
+    return optimal_makespan(Instance(tuple(Job(j, job.size) for j, job in enumerate(jobs)), (stage,)), limits)
 
 
 def _dominated(vec: tuple[int, ...], candidates: Iterable[tuple[int, ...]]) -> bool:
@@ -191,14 +219,17 @@ class _PlanSearch:
         self,
         instance: Instance,
         limits: SearchLimits,
+        scale: int,
+        ticks: list[list[int]],
         ub: ScheduleTrace,
         ub_queues: Queues,
-        analytic_lb: Scalar,
+        lower: Fraction,
     ) -> None:
+        """`lower` is the analytic lower bound in ticks of 1/`scale`."""
         self.n = instance.n
         self.k = instance.k
         self.machines = tuple(s.machines for s in instance.stages)
-        self.scale, self.exec_int = time_grid(instance.sizes(), [s.speed for s in instance.stages])
+        self.scale, self.exec_int = scale, ticks
         # rempath[j][i] = total execution still ahead of job j from stage i on
         self.rempath = [[0] * (self.k + 1) for _ in range(self.n)]
         for j in range(self.n):
@@ -208,13 +239,13 @@ class _PlanSearch:
         assert ub.scale == self.scale, "heuristic plan off the exact time grid"
         self.best = ub.makespan_ticks
         self.best_seqs = ub_queues
-        self.analytic_lb = analytic_lb
-        self.target = math.ceil(analytic_lb * self.scale)
+        self.analytic_lb = lower / scale
+        self.target = math.ceil(lower)
         # equal-size jobs are interchangeable; canonicalize their stage-0 slots
         self.equal_pred_mask = [0] * self.n
         for j in range(self.n):
             for j2 in range(j):
-                if instance.jobs[j2].size == instance.jobs[j].size:
+                if ticks[j2][0] == ticks[j][0]:
                     self.equal_pred_mask[j] |= 1 << j2
         self.archives = [_Archive() for _ in range(self.k - 1)]
         self.nodes = 0
@@ -264,24 +295,32 @@ class _PlanSearch:
             self._expand(stage_i + 1, comps, prefix + [seqs])
 
     def _last_stage(self, releases: tuple[int, ...], prefix: list) -> None:
-        """Try every machine assignment of the last stage, each queue in (release, id) order.
+        """Try every machine assignment of the last stage, each queue in order of release.
 
         Only the makespan matters here, and one machine with release dates
         finishes its jobs soonest by serving them in order of release (1|r_j|C_max,
-        Jackson's rule), so queue orders need no search. Jobs are placed in
-        (release, id) order, each on an opened machine or on the next one to
-        open, which breaks machine symmetry. A placement that brings the
-        stage's makespan up to the incumbent is pruned, so a full assignment
-        becomes the new incumbent.
+        Jackson's rule), so queue orders need no search. Two rules cut the
+        assignments:
+        - Jobs are placed in (release, -exec, id) order. Jackson's rule allows
+          any order among equal releases, so the largest go first, as in a
+          partition search, and every queue stays in release order: the
+          witness replays through `evaluate_schedule` to the same makespan.
+        - A job skips a machine whose availability equals one it already
+          tried. The machines are identical and the last stage has no queue
+          orders left to choose, so the two subtrees mirror each other. A
+          skipped machine costs no node. Machines not yet used are all free at
+          0, so this also breaks the symmetry among them.
+        A placement that brings the stage's makespan up to the incumbent is
+        pruned, so a full assignment becomes the new incumbent.
         """
         stage_i = self.k - 1
         m = self.machines[stage_i]
-        order = sorted(range(self.n), key=lambda j: (releases[j], j))
         execs = [self.exec_int[j][stage_i] for j in range(self.n)]
+        order = sorted(range(self.n), key=lambda j: (releases[j], -execs[j], j))
         avail = [0] * m
         seqs: list[list[int]] = [[] for _ in range(m)]
 
-        def place(pos: int, opened: int, span: int) -> None:
+        def place(pos: int, span: int) -> None:
             if pos == self.n:
                 self.best = span
                 self.best_seqs = tuple(prefix) + (tuple(map(tuple, seqs)),)
@@ -290,20 +329,24 @@ class _PlanSearch:
                 return
             j = order[pos]
             r, e = releases[j], execs[j]
-            for a in range(min(opened + 1, m)):
-                self._tick()
+            tried = set()
+            for a in range(m):
                 free = avail[a]
+                if free in tried:
+                    continue
+                tried.add(free)
+                self._tick()
                 c = (r if r > free else free) + e
                 reach = c if c > span else span
                 if reach >= self.best:
                     continue
                 avail[a] = c
                 seqs[a].append(j)
-                place(pos + 1, max(opened, a + 1), reach)
+                place(pos + 1, reach)
                 seqs[a].pop()
                 avail[a] = free
 
-        place(0, 0, 0)
+        place(0, 0)
 
     def _stage_plans(self, stage_i: int, releases: tuple[int, ...]):
         """A non-final stage's plans as (completion vector, machine sequences).
@@ -376,87 +419,3 @@ class _PlanSearch:
         return out
 
 
-def single_stage_optimal(
-    jobs: list[Job] | tuple[Job, ...],
-    m: int,
-    s: Scalar,
-    limits: SearchLimits | None = None,
-) -> OptResult:
-    """Exact single-stage optimum: minimize the largest machine workload.
-
-    With one stage and all releases at zero, queue order is irrelevant and the
-    problem reduces to an m-way partition of the sizes. Branch-and-bound with
-    identical-load symmetry breaking; certifies without search when a largest-
-    first heuristic matches the lower bound.
-    """
-    limits = limits or DEFAULT_LIMITS
-    if not jobs:
-        raise LimitsExceeded("no jobs")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"machine count must be an int >= 1, got {m!r}")
-    if s <= 0:
-        raise ValueError("speed must be positive")
-    n = len(jobs)
-    scale, ticks = time_grid([job.size for job in jobs], [s])
-    times = [row[0] for row in ticks]
-    lb = max(Fraction(max(times)), Fraction(sum(times), m))
-    order = sorted(range(n), key=lambda j: (-times[j], j))
-    loads = [0] * m
-    best_assign = [0] * n
-    for j in order:
-        alpha = loads.index(min(loads))
-        best_assign[j] = alpha
-        loads[alpha] += times[j]
-    best = max(loads)
-    nodes = 0
-    status = "exact"
-    if best > lb:
-        if n > limits.max_jobs:
-            raise LimitsExceeded(f"{n} jobs exceeds the solver cap of {limits.max_jobs}")
-        ordered_times = [times[j] for j in order]
-        target = math.ceil(lb)
-        node_budget = limits.node_budget
-        cur: list[int] = [0] * m
-        cur_assign = [0] * n
-
-        def dfs(idx: int, cur_max: int) -> None:
-            nonlocal best, nodes
-            nodes += 1
-            if nodes > node_budget:
-                raise _Budget
-            if idx == n:
-                best = cur_max
-                for pos, j in enumerate(order):
-                    best_assign[j] = cur_assign[pos]
-                if best <= target:
-                    raise _Done
-                return
-            size = ordered_times[idx]
-            seen: set[int] = set()
-            for alpha in range(m):
-                load = cur[alpha]
-                if load in seen:
-                    continue
-                seen.add(load)
-                new_load = load + size
-                if new_load >= best:
-                    continue
-                cur[alpha] = new_load
-                cur_assign[idx] = alpha
-                dfs(idx + 1, new_load if new_load > cur_max else cur_max)
-                cur[alpha] = load
-
-        try:
-            dfs(0, 0)
-        except _Done:
-            pass
-        except _Budget:
-            status = "budget-exhausted"
-    makespan = Fraction(best, scale)
-    lower = makespan if status == "exact" else lb / scale
-    # one queue per machine, ordered by job id and renumbered so the machine
-    # holding the smallest job id comes first
-    groups: dict[int, list[int]] = {}
-    for j in range(n):
-        groups.setdefault(best_assign[j], []).append(j)
-    return OptResult(makespan, queues_to_plan([sorted(groups.values())]), status, lower, nodes)

@@ -24,30 +24,42 @@ def all_stage_plans(n: int, m: int):
 
 
 def brute_force_optimal(instance: Instance) -> Fraction:
-    """Minimum makespan by enumerating every plan of every stage."""
-    n, k = instance.n, instance.k
-    best: Fraction | None = None
+    """Minimum makespan by enumerating every plan of every stage.
 
-    def recurse(stage: int, releases: list[Fraction]) -> None:
+    Times are ints in units of 1/scale, the lcm of every execution time's
+    denominator. What follows a stage depends only on the releases it passes
+    on, so each distinct release vector is expanded once per stage.
+    """
+    n, k = instance.n, instance.k
+    times = [[job.size / spec.speed for job in instance.jobs] for spec in instance.stages]
+    scale = math.lcm(*(t.denominator for row in times for t in row))
+    execs = [[int(t * scale) for t in row] for row in times]
+    plans = [list(all_stage_plans(n, spec.machines)) for spec in instance.stages]
+    expanded: set[tuple[int, tuple[int, ...]]] = set()
+    best: int | None = None
+
+    def recurse(stage: int, releases: list[int]) -> None:
         nonlocal best
         if stage == k:
             makespan = max(releases)
             if best is None or makespan < best:
                 best = makespan
             return
-        spec = instance.stages[stage]
-        for plan in all_stage_plans(n, spec.machines):
-            completions = [Fraction(0)] * n
+        if (stage, tuple(releases)) in expanded:
+            return
+        expanded.add((stage, tuple(releases)))
+        for plan in plans[stage]:
+            completions = [0] * n
             for _, order in plan.items():
-                tail = Fraction(0)
+                tail = 0
                 for j in order:
-                    tail = max(tail, releases[j]) + instance.jobs[j].size / spec.speed
+                    tail = max(tail, releases[j]) + execs[stage][j]
                     completions[j] = tail
             recurse(stage + 1, completions)
 
-    recurse(0, [Fraction(0)] * n)
+    recurse(0, [0] * n)
     assert best is not None
-    return best
+    return Fraction(best, scale)
 
 
 def dominated(vec: tuple, archive) -> bool:

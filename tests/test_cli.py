@@ -144,6 +144,18 @@ class TestOptimal:
         assert code == 1
         assert "refused" in err
 
+    def test_machine_cap_is_for_pipelines_only(self, capsys, tmp_path):
+        # one stage of 4 machines is a partition of the sizes: searched, not refused
+        path = write_instance(tmp_path, Instance.from_sizes([5, 5, 4, 4, 3, 3, 3], [(4, 1)]))
+        code, out, _ = run_cli(capsys, ["optimal", "-i", path])
+        assert code == 0
+        assert json.loads(out)["makespan"] == "8"
+        assert json.loads(out)["status"] == "exact"
+        pipeline = write_instance(tmp_path, Instance.from_sizes([5, 5, 4, 4, 3, 3], [(4, 1), (1, 2)]), "k2.json")
+        code, _, err = run_cli(capsys, ["optimal", "-i", pipeline])
+        assert code == 1
+        assert "4 machines in a stage exceeds the cap of 3" in err
+
     def test_limit_overrides(self, capsys, tmp_path):
         inst = Instance.from_sizes([10, 1, 1, 1, 1, 1, 1], [(1, 1), (2, 5)])
         path = write_instance(tmp_path, inst)

@@ -28,6 +28,15 @@ def _json_round_trip(plan):
     return plan_from_json(json.loads(json.dumps(plan_to_json(plan))))
 
 
+SPEEDS = st.sampled_from([F(1), F(1, 2), F(3)])
+# (sizes, non-final stages, last stage) of a 2- or 3-stage pipeline of up to 4 jobs
+PIPELINES = st.tuples(
+    st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(1, 2), SPEEDS), min_size=1, max_size=2),
+    st.tuples(st.integers(2, 3), SPEEDS),
+)
+
+
 def appendix_instance():
     return Instance.from_sizes([10, 1], [(1, 1), (2, 5), (1, F(1, 10))])
 
@@ -99,6 +108,16 @@ class TestSingleStageOptimal:
         spec = inst.stages[0]
         result = single_stage_optimal(list(inst.jobs), spec.machines, spec.speed)
         assert evaluate_schedule(inst, _json_round_trip(result.plan)).makespan == result.makespan
+
+    @given(st.lists(st.integers(1, 7), min_size=1, max_size=6), st.integers(1, 5), SPEEDS)
+    def test_both_entry_points_match_brute_force_partition(self, sizes, m, s):
+        # m > 3 too: the machine cap is for pipelines only
+        inst = Instance.from_sizes(sizes, [(m, s)])
+        expected = brute_force_partition([F(x) for x in sizes], m, s)
+        for result in (single_stage_optimal(list(inst.jobs), m, s), optimal_makespan(inst)):
+            assert result.status == "exact"
+            assert result.makespan == expected
+            assert evaluate_schedule(inst, result.plan).makespan == expected
 
     def test_refuses_oversized(self):
         jobs = [Job(i, F(p)) for i, p in enumerate([7, 6, 5, 5, 4, 3, 2, 2, 1])]
@@ -177,15 +196,15 @@ class TestOptimalMakespan:
         trace, _ = greedy_schedule(inst)
         assert trace.makespan >= optimal_makespan(inst).makespan
 
-    @given(st.integers(0, 150))
-    def test_consistent_with_single_stage_specialization(self, seed):
-        # two independent routes: general plan search vs set-partition search
-        inst = gen_random(n=1 + seed % 5, k=1, machine_range=(1, 3), seed=seed)
-        spec = inst.stages[0]
-        general = optimal_makespan(inst)
-        partition = single_stage_optimal(list(inst.jobs), spec.machines, spec.speed)
-        assert general.status == partition.status == "exact"
-        assert general.makespan == partition.makespan
+    @given(PIPELINES)
+    def test_matches_brute_force_with_releases_in_the_last_stage(self, case):
+        # earlier stages release jobs at different times into 2-3 last-stage machines
+        sizes, head, last = case
+        inst = Instance.from_sizes(sizes, head + [last])
+        result = optimal_makespan(inst)
+        assert result.status == "exact"
+        assert result.makespan == brute_force_optimal(inst)
+        assert evaluate_schedule(inst, result.plan).makespan == result.makespan
 
     def test_deterministic_including_witness(self):
         inst = gen_random(n=5, k=3, seed=99)
