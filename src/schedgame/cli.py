@@ -41,12 +41,12 @@ from .model import (
     Instance,
     ModelError,
     ScheduleTrace,
+    as_plan,
     evaluate_schedule,
     format_decimal,
     format_scalar,
     format_ticks,
     parse_scalar,
-    plan_from_json,
     plan_to_json,
     trace_to_csv,
     trace_to_json,
@@ -282,7 +282,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _replay_plan(instance: Instance, path: str) -> ScheduleTrace:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return evaluate_schedule(instance, plan_from_json(json.load(fh)))
+            return evaluate_schedule(instance, as_plan(json.load(fh)))
     except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot replay plan: {exc}") from exc
 

@@ -112,6 +112,15 @@ class EquilibriumResult:
 # permuted or sorted: the lowest-index tie rule is not permutation-invariant.
 # Each key is first reached from one raw state that an unkeyed solver also
 # expands, so `nodes` (distinct subgames) never exceeds the raw-state count.
+#
+# The decider j cannot finish before it starts this stage and then runs every
+# stage left: under machine a its final completion is at least
+# max(release, avail[a]) + rempath[j][stage], and under DEFER at least the same
+# with min(avail), since it still takes a machine of this stage later and
+# availabilities only grow. `value` skips an action whose bound is already
+# >= the decider's best so far: the action could only tie or lose, and ties go
+# to the earlier action, so the value, the chosen action and the tie rule are
+# those of the full expansion; only the skipped subgames go unexpanded.
 _State = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]
 _Key = tuple[tuple[tuple[int, int] | None, ...], tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]
 
@@ -133,6 +142,8 @@ class _GameSolver:
         self.model = model or ActionModel()
         self.k = instance.k
         self.scale, self.exec = time_grid(instance.sizes(), [s.speed for s in instance.stages])
+        # rempath[j][i]: job j's execution ticks from stage i on
+        self.rempath = [[sum(row[i:]) for i in range(self.k)] for row in self.exec]
         self.machine_actions: list[tuple[Action, ...]] = [tuple(range(s.machines)) for s in instance.stages]
         self.memo: dict[_Key, tuple[tuple[int, ...], Action]] = {}
         self.nodes = 0
@@ -197,11 +208,21 @@ class _GameSolver:
             return (new_machines, new_jobs, batch[1:], defers[1:])
         return self._next_batch(new_machines, new_jobs)
 
+    def bound(self, state: _State, action: Action) -> int:
+        """A lower bound on the decider's final completion tick under `action`."""
+        machines, jobs, batch, _ = state
+        j = batch[0]
+        stage, release = jobs[j]
+        avail = min(machines[stage]) if action == DEFER else machines[stage][action]
+        return (release if release > avail else avail) + self.rempath[j][stage]
+
     def value(self, state: _State) -> tuple[int, ...]:
         """Final completion ticks under optimal play from `state` on.
 
         The decider minimizes its own final completion; ties prefer machine
-        actions in index order, defer last.
+        actions in index order, defer last. An action whose `bound` is at
+        least the best completion found so far is skipped unexpanded: it could
+        at best tie, and a tie keeps the earlier action (see `_State`).
         """
         machines, jobs, batch, defers = state
         if not batch:
@@ -218,6 +239,8 @@ class _GameSolver:
         best_vec: tuple[int, ...] | None = None
         best_action: Action = 0
         for action in self.actions(state):
+            if best_vec is not None and best_vec[j] <= self.bound(state, action):
+                continue
             vec = self.value(self.apply(state, action))
             if best_vec is None or vec[j] < best_vec[j]:
                 best_vec = vec

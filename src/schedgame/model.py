@@ -392,10 +392,6 @@ def plan_to_json(plan: Plan) -> list:
     return [[[m, p] for m, p in stage] for stage in plan]
 
 
-def plan_from_json(data: object) -> Plan:
-    return as_plan(data)
-
-
 def plan_to_queues(instance: Instance, plan: Plan | Sequence) -> Queues:
     """Check that `plan` covers `instance` and return its queue sequences.
 
