@@ -25,7 +25,22 @@ from .exact import (
     single_stage_optimal,
 )
 from .greedy import greedy_schedule
-from .model import Instance, Scalar, ScheduleTrace, StageSpec, format_decimal, format_scalar, format_ticks, to_ticks
+from .model import (
+    Instance,
+    JSONText,
+    Scalar,
+    ScheduleTrace,
+    StageSpec,
+    _apply,
+    _block,
+    _encode_str,
+    _Memo,
+    _row_template,
+    format_decimal,
+    format_scalar,
+    format_ticks,
+    to_ticks,
+)
 
 __all__ = [
     "AnalysisError",
@@ -83,6 +98,9 @@ class BoundRow:
 # A row on the report's grid: (label, lhs, rhs), both sides in ticks of 1/scale.
 GridRow = tuple[str, int, int]
 
+REPORT_FIELDS = ("inequality", "stage", "holds", "min_slack", "min_slack_decimal", "minimal_t", "params", "rows")
+ROW_FIELDS = ("label", "lhs", "rhs", "slack", "holds")
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -118,28 +136,32 @@ class BoundReport:
     def failures(self) -> list[BoundRow]:
         return [self._row(*row) for row in self.grid if row[1] > row[2]]
 
-    def to_json(self, precision: int = 6) -> dict:
+    def to_json(self, precision: int = 6) -> JSONText:
+        """The report as JSON text, its rows written straight from the grid's ticks.
+
+        `json.loads` of it gives a dict of the REPORT_FIELDS: the verdict,
+        the least slack, the parameters and one dict of the ROW_FIELDS per
+        row, each side "a/b". Each distinct tick is rendered once.
+        """
         scale = self.scale
+        exact = _Memo(lambda ticks: f'"{format_ticks(ticks, scale)}"')
+        row = _row_template(ROW_FIELDS, (str, str, str, str, bool), 2)[0]
+        rows = [
+            row % (_encode_str(label), exact[lhs], exact[rhs], exact[rhs - lhs], "true" if lhs <= rhs else "false")
+            for label, lhs, rhs in self.grid
+        ]
         min_slack = self.min_slack
-        return {
-            "inequality": self.inequality,
-            "stage": self.stage,
-            "holds": self.holds,
-            "min_slack": format_scalar(min_slack),
-            "min_slack_decimal": format_decimal(min_slack, precision),
-            "minimal_t": None if self.minimal_t is None else format_scalar(self.minimal_t),
-            "params": {k: format_scalar(v) if isinstance(v, Fraction) else v for k, v in self.params.items()},
-            "rows": [
-                {
-                    "label": label,
-                    "lhs": format_ticks(lhs, scale),
-                    "rhs": format_ticks(rhs, scale),
-                    "slack": format_ticks(rhs - lhs, scale),
-                    "holds": lhs <= rhs,
-                }
-                for label, lhs, rhs in self.grid
-            ],
-        }
+        head = (
+            self.inequality,
+            self.stage,
+            self.holds,
+            format_scalar(min_slack),
+            format_decimal(min_slack, precision),
+            None if self.minimal_t is None else format_scalar(self.minimal_t),
+            {k: format_scalar(v) if isinstance(v, Fraction) else v for k, v in self.params.items()},
+        )
+        template, cells = _row_template(REPORT_FIELDS, (*map(type, head), list), 0)
+        return JSONText(template % (*map(_apply, cells, head), _block(rows, 1)))
 
 
 def _check_ms_star(instance: Instance, stage: int, ms_star: Scalar) -> None:

@@ -12,7 +12,6 @@ import functools
 import io
 import itertools
 import json
-import operator
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -41,6 +40,8 @@ from .model import (
     Instance,
     ModelError,
     ScheduleTrace,
+    _dumps,
+    _row_template,
     as_plan,
     evaluate_schedule,
     format_decimal,
@@ -75,86 +76,6 @@ def _read_instance(path: str | None) -> Instance:
         raise CliError(f"invalid instance: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # malformed or too deeply nested JSON, or a too-long int literal
         raise CliError(f"invalid instance JSON: {exc}") from exc
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-# C-level text of one exact-typed row cell; any other cell type renders recursively
-_CELL_TEXT = {str: _encode_str, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__}
-_apply = getattr(operator, "call", None) or (lambda fn, value: fn(value))  # operator.call is 3.11+
-
-
-def _dumps(payload: object) -> str:
-    """What `json.dumps` writes with a two-space indent, byte for byte.
-
-    With an indent the json module falls back to its pure-Python encoder. This
-    writer renders dict (str keys), list, tuple, str, int, bool and None with
-    C-level string and int encoders, and raises TypeError for anything else.
-    Each row of a list of dicts that shares the first row's key tuple and
-    cell-type tuple renders through one %-template.
-    """
-    return _encode(payload, 0)
-
-
-def _encode(value: object, depth: int) -> str:
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = "\n" + "  " * (depth + 1)
-        return "[" + inner + ("," + inner).join(_encode_items(value, depth + 1)) + "\n" + "  " * depth + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = "\n" + "  " * (depth + 1)
-        fields = [_encode_key(k) + ": " + _encode(v, depth + 1) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(fields) + "\n" + "  " * depth + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _encode_key(key: object) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"keys must be str, not {type(key).__name__}")
-    return _encode_str(key)
-
-
-def _encode_items(items: Sequence, depth: int) -> list[str]:
-    """The text of each item of a non-empty list, the items at `depth`."""
-    first = items[0]
-    if type(first) is dict and first:
-        keys = tuple(first)
-        types = tuple(map(type, first.values()))
-        template, cells = _row_template(keys, types, depth)
-        return [
-            template % tuple(map(_apply, cells, row.values()))
-            if type(row) is dict and tuple(row) == keys and tuple(map(type, row.values())) == types
-            else _encode(row, depth)
-            for row in items
-        ]
-    if isinstance(first, str):
-        try:
-            return list(map(_encode_str, items))
-        except TypeError:  # not every item is a str
-            pass
-    return [_encode(v, depth) for v in items]
-
-
-@functools.lru_cache(maxsize=256)
-def _row_template(keys: tuple, types: tuple, depth: int) -> tuple[str, tuple]:
-    """A %-template for a dict at `depth` with these keys, and one text callable per cell."""
-    inner = "\n" + "  " * (depth + 1)
-    fields = [_encode_key(k).replace("%", "%%") + ": %s" for k in keys]
-    template = "{" + inner + ("," + inner).join(fields) + "\n" + "  " * depth + "}"
-    cells = tuple(_CELL_TEXT.get(t) or functools.partial(_encode, depth=depth + 1) for t in types)
-    return template, cells
 
 
 def _write_output(text: str, path: str | None) -> None:

@@ -8,9 +8,13 @@ from typing import Iterator
 
 from .model import (
     Instance,
+    JSONText,
     Scalar,
     ScheduleTrace,
     StageSpec,
+    _block,
+    _Memo,
+    _row_template,
     format_decimal_ticks,
     format_ticks,
     time_grid,
@@ -86,23 +90,28 @@ def release_order(trace: ScheduleTrace, stage: int) -> list[int]:
     return sorted(range(trace.n), key=lambda j: (trace.grid[j][stage][1], j))
 
 
-def events_to_json(log: GreedyLog, precision: int = 6) -> list[dict]:
-    """The decision log's JSON rows, rendered from the trace's ticks."""
+EVENT_FIELDS = ("time", "time_decimal", "job", "stage", "loads", "machine")
+
+
+def events_to_json(log: GreedyLog, precision: int = 6) -> JSONText:
+    """The decision log as JSON text, written straight from the trace's ticks.
+
+    `json.loads` of it gives one dict of the EVENT_FIELDS per decision: the
+    release time ("a/b" and its decimal), the job, the stage, each machine's
+    load as the job saw it ("a/b") and the machine it chose. Each distinct
+    time is rendered once; each stage keeps one list of load texts, updated
+    after each decision.
+    """
     trace, scale = log.trace, log.trace.scale
+    time = _Memo(lambda ticks: f'"{format_ticks(ticks, scale)}"')
+    time_decimal = _Memo(lambda ticks: f'"{format_decimal_ticks(ticks, scale, precision)}"')
+    event = _row_template(EVENT_FIELDS, (str, str, int, int, list, int), 1)[0]
     out = []
     for i, spec in enumerate(log.stages):
-        loads = ["0"] * spec.machines
+        num, den = spec.speed.numerator, spec.speed.denominator * scale
+        loads = ['"0"'] * spec.machines
         for j in release_order(trace, i):
             machine, release, _, completion = trace.grid[j][i]
-            out.append(
-                {
-                    "time": format_ticks(release, scale),
-                    "time_decimal": format_decimal_ticks(release, scale, precision),
-                    "job": j,
-                    "stage": i,
-                    "loads": loads.copy(),
-                    "machine": machine,
-                }
-            )
-            loads[machine] = format_ticks(spec.speed.numerator * completion, spec.speed.denominator * scale)
-    return out
+            out.append(event % (time[release], time_decimal[release], j, i, _block(loads, 2), machine))
+            loads[machine] = f'"{format_ticks(num * completion, den)}"'
+    return JSONText(_block(out, 0))

@@ -1,4 +1,4 @@
-"""Domain types, the exact time grid, plan forms, and the schedule kernel.
+"""Domain types, the exact time grid, plan forms, the schedule kernel, and the JSON writer.
 
 Every size, speed, and time is an exact rational (`fractions.Fraction`) at the
 API boundary. Ties between machine loads are semantically load-bearing, so
@@ -6,7 +6,8 @@ nothing ever rounds: the kernels run on the instance's integer time grid
 (`time_grid`), which represents every reachable time exactly, and build
 fractions only for the results they return. Decimal strings are parsed to
 exact fractions on the way in and rendered back to decimals only at the
-output boundary.
+output boundary, where `_dumps` writes every JSON output and the big row
+tables write their own text straight from their ticks (`JSONText`).
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import json
 import math
+import operator
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Scalar = Fraction
 
@@ -140,6 +143,118 @@ def format_decimal_ticks(ticks: int, scale: int, precision: int = 6) -> str:
     split = len(digits) - precision
     whole, frac = digits[:split], digits[split:].rstrip("0")
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+
+
+class JSONText(str):
+    """JSON text at depth 0, as `_dumps` writes it; `_dumps` splices it in at any depth.
+
+    The big row tables (`trace_to_json`, `greedy.events_to_json`,
+    `analysis.BoundReport.to_json`) render themselves to it straight from
+    their ticks; `json.loads` of one gives the value it stands for.
+    """
+
+    __slots__ = ()
+
+
+class _Memo(dict):
+    """`fn(key)` for each key, computed on its first lookup.
+
+    The table renderers build one per call and per column kind: the same
+    ticks are another time on another scale, and a decimal differs from the
+    exact form of the same time.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+# C-level text of one exact-typed row cell; any other cell type renders recursively
+_CELL_TEXT = {str: _encode_str, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__}
+_apply = getattr(operator, "call", None) or (lambda fn, value: fn(value))  # operator.call is 3.11+
+
+
+def _dumps(payload: object) -> str:
+    """What `json.dumps` writes with a two-space indent, byte for byte.
+
+    With an indent the json module falls back to its pure-Python encoder. This
+    writer renders dict (str keys), list, tuple, str, int, bool and None with
+    C-level string and int encoders, and raises TypeError for anything else.
+    A `JSONText` is spliced in as the value it stands for. Each row of a list
+    of dicts that shares the first row's key tuple and cell-type tuple renders
+    through one %-template.
+    """
+    return _encode(payload, 0)
+
+
+def _encode(value: object, depth: int) -> str:
+    if isinstance(value, str):
+        if isinstance(value, JSONText):
+            # JSON text has no raw newline inside a string, so every newline starts a line to indent
+            return value.replace("\n", "\n" + "  " * depth)
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return _block(_encode_items(value, depth + 1), depth)
+    if isinstance(value, dict):
+        return _block([_encode_key(k) + ": " + _encode(v, depth + 1) for k, v in value.items()], depth, "{}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _block(items: Sequence[str], depth: int, brackets: str = "[]") -> str:
+    """A list (or with brackets "{}", a dict) at `depth` whose entries, at depth + 1, read `items`."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _encode_key(key: object) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _encode_str(key)
+
+
+def _encode_items(items: Sequence, depth: int) -> list[str]:
+    """The text of each item of a list, the items at `depth`."""
+    if not items:
+        return []
+    first = items[0]
+    if type(first) is dict and first:
+        keys = tuple(first)
+        types = tuple(map(type, first.values()))
+        template, cells = _row_template(keys, types, depth)
+        return [
+            template % tuple(map(_apply, cells, row.values()))
+            if type(row) is dict and tuple(row) == keys and tuple(map(type, row.values())) == types
+            else _encode(row, depth)
+            for row in items
+        ]
+    if all(type(v) is str for v in items):
+        return list(map(_encode_str, items))
+    return [_encode(v, depth) for v in items]
+
+
+@functools.lru_cache(maxsize=256)
+def _row_template(keys: tuple, types: tuple, depth: int) -> tuple[str, tuple]:
+    """A %-template for a dict at `depth` with these keys, and one text callable per cell."""
+    fields = [_encode_key(k).replace("%", "%%") + ": %s" for k in keys]
+    cells = tuple(_CELL_TEXT.get(t) or functools.partial(_encode, depth=depth + 1) for t in types)
+    return _block(fields, depth, "{}"), cells
 
 
 @dataclass(frozen=True)
@@ -548,38 +663,41 @@ TRACE_CSV_FIELDS = (
 )
 
 
-def trace_rows(trace: ScheduleTrace, precision: int = 6) -> list[dict[str, str | int]]:
+def _trace_cells(trace: ScheduleTrace, precision: int, form: str) -> list[tuple]:
+    """Each record's cells in TRACE_CSV_FIELDS order, a time's text as `form % text`.
+
+    Each distinct tick is rendered once per column kind.
+    """
     scale = trace.scale
-    rows: list[dict[str, str | int]] = []
-    for j, row in enumerate(trace.grid):
-        for i, (machine, release, start, completion) in enumerate(row):
-            rows.append(
-                {
-                    "job": j,
-                    "stage": i,
-                    "machine": machine,
-                    "release": format_ticks(release, scale),
-                    "start": format_ticks(start, scale),
-                    "completion": format_ticks(completion, scale),
-                    "release_decimal": format_decimal_ticks(release, scale, precision),
-                    "start_decimal": format_decimal_ticks(start, scale, precision),
-                    "completion_decimal": format_decimal_ticks(completion, scale, precision),
-                }
-            )
-    return rows
+    exact = _Memo(lambda ticks: form % format_ticks(ticks, scale))
+    decimal = _Memo(lambda ticks: form % format_decimal_ticks(ticks, scale, precision))
+    return [
+        (j, i, machine, exact[release], exact[start], exact[completion],
+         decimal[release], decimal[start], decimal[completion])
+        for j, row in enumerate(trace.grid)
+        for i, (machine, release, start, completion) in enumerate(row)
+    ]
 
 
 def trace_to_csv(trace: ScheduleTrace, precision: int = 6) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=TRACE_CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(trace_rows(trace, precision))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRACE_CSV_FIELDS)
+    writer.writerows(_trace_cells(trace, precision, "%s"))
     return buf.getvalue()
 
 
-def trace_to_json(trace: ScheduleTrace, precision: int = 6) -> dict:
-    return {
-        "makespan": format_ticks(trace.makespan_ticks, trace.scale),
-        "makespan_decimal": format_decimal_ticks(trace.makespan_ticks, trace.scale, precision),
-        "records": trace_rows(trace, precision),
-    }
+def trace_to_json(trace: ScheduleTrace, precision: int = 6) -> JSONText:
+    """The trace as JSON text: its makespan and one record per job and stage.
+
+    `json.loads` of it gives {"makespan", "makespan_decimal", "records"}, each
+    record a dict of the TRACE_CSV_FIELDS, exact times as "a/b" strings and
+    decimals rounded to `precision` digits. It is written straight from the
+    ticks, each distinct time rendered once.
+    """
+    record = _row_template(TRACE_CSV_FIELDS, (int,) * 3 + (str,) * 6, 2)[0]
+    records = [record % cells for cells in _trace_cells(trace, precision, '"%s"')]
+    ticks, scale = trace.makespan_ticks, trace.scale
+    makespan = (f'"{format_ticks(ticks, scale)}"', f'"{format_decimal_ticks(ticks, scale, precision)}"')
+    head = _row_template(("makespan", "makespan_decimal", "records"), (str, str, list), 0)[0]
+    return JSONText(head % (*makespan, _block(records, 1)))

@@ -1,6 +1,6 @@
-"""Independent oracles the tests check the package against.
+"""Independent oracles the tests check the package against, and the traces they check it on.
 
-Everything here is deliberately naive: full enumeration and textbook list
+Every oracle here is deliberately naive: full enumeration and textbook list
 scheduling, written without touching the package's solvers so the two routes
 stay independent.
 """
@@ -9,7 +9,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from schedgame import Instance
+from hypothesis import strategies as st
+
+from schedgame import Instance, ScheduleTrace, StageRecord, evaluate_schedule, gen_random, greedy_schedule
 
 
 def all_stage_plans(n: int, m: int):
@@ -317,6 +319,46 @@ def naive_chain(instance: Instance, trace, opt_makespan=None, ms_star=None):
     return rows, params
 
 
+def naive_trace_json(trace, precision=6) -> dict:
+    """The JSON a trace renders, from its `Fraction` records and `str(Fraction)` ("a" or "a/b").
+
+    Only the decimal fields borrow the package's `format_decimal`.
+    """
+    from schedgame import format_decimal
+
+    records = []
+    for j, row in enumerate(trace.records):
+        for rec in row:
+            times = {"release": rec.release, "start": rec.start, "completion": rec.completion}
+            records.append(
+                {"job": j, "stage": rec.stage, "machine": rec.machine}
+                | {name: str(t) for name, t in times.items()}
+                | {f"{name}_decimal": format_decimal(t, precision) for name, t in times.items()}
+            )
+    return {
+        "makespan": str(trace.makespan),
+        "makespan_decimal": format_decimal(trace.makespan, precision),
+        "records": records,
+    }
+
+
+def naive_events_json(events, precision) -> list:
+    """The JSON a decision log renders, from each `GreedyEvent`'s `Fraction`s."""
+    from schedgame import format_decimal, format_scalar
+
+    return [
+        {
+            "time": format_scalar(e.time),
+            "time_decimal": format_decimal(e.time, precision),
+            "job": e.job,
+            "stage": e.stage,
+            "loads": [format_scalar(x) for x in e.loads],
+            "machine": e.machine,
+        }
+        for e in events
+    ]
+
+
 def naive_report_json(inequality, stage, rows, params, minimal_t=None, precision=6) -> dict:
     """The JSON a bound report renders for `rows`, from `str(Fraction)` ("a" or "a/b").
 
@@ -346,3 +388,37 @@ def naive_time_grid(sizes, speeds):
     times = [[size / speed for speed in speeds] for size in sizes]
     scale = math.lcm(*(t.denominator for row in times for t in row))
     return scale, [[t.numerator * (scale // t.denominator) for t in row] for row in times]
+
+
+times = st.fractions(min_value=0, max_value=20, max_denominator=97)
+
+
+@st.composite
+def checked_traces(draw):
+    """An instance and a trace to check: greedy, a random plan's, or hand-built off the grid."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    inst = gen_random(n, k, seed=draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["greedy", "plan", "off-grid"]))
+    if kind == "greedy":
+        return inst, greedy_schedule(inst)[0]
+    if kind == "plan":
+        plan = []
+        for spec in inst.stages:
+            queues: dict[int, int] = {}
+            stage = [None] * n
+            for j in draw(st.permutations(range(n))):
+                machine = draw(st.integers(0, spec.machines - 1))
+                stage[j] = (machine, queues.get(machine, 0))
+                queues[machine] = queues.get(machine, 0) + 1
+            plan.append(stage)
+        return inst, evaluate_schedule(inst, plan)
+    records = []
+    for _ in range(n):
+        row, release = [], draw(times)
+        for i in range(k):
+            start = release + draw(times)
+            completion = start + draw(times)
+            row.append(StageRecord(i, 0, release, start, completion))
+            release = completion
+        records.append(tuple(row))
+    return inst, ScheduleTrace.from_records(records, max(row[-1].completion for row in records))

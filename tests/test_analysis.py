@@ -1,7 +1,8 @@
+import json
 from fractions import Fraction as F
 
 import pytest
-from helpers import naive_chain, naive_report_json, naive_stage
+from helpers import checked_traces, naive_chain, naive_report_json, naive_stage, times
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,8 +10,6 @@ from schedgame import (
     AnalysisError,
     BoundRow,
     Instance,
-    ScheduleTrace,
-    StageRecord,
     check_completion_bound,
     check_multistage_chain,
     check_release_premise,
@@ -200,40 +199,6 @@ class TestMultistageChain:
             check_multistage_chain(inst, trace, ms_star=F(1, 5))
 
 
-times = st.fractions(min_value=0, max_value=20, max_denominator=97)
-
-
-@st.composite
-def checked_traces(draw):
-    """An instance and a trace to check: greedy, a random plan's, or hand-built off the grid."""
-    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
-    inst = gen_random(n, k, seed=draw(st.integers(0, 2**32)))
-    kind = draw(st.sampled_from(["greedy", "plan", "off-grid"]))
-    if kind == "greedy":
-        return inst, greedy_schedule(inst)[0]
-    if kind == "plan":
-        plan = []
-        for spec in inst.stages:
-            queues: dict[int, int] = {}
-            stage = [None] * n
-            for j in draw(st.permutations(range(n))):
-                machine = draw(st.integers(0, spec.machines - 1))
-                stage[j] = (machine, queues.get(machine, 0))
-                queues[machine] = queues.get(machine, 0) + 1
-            plan.append(stage)
-        return inst, evaluate_schedule(inst, plan)
-    records = []
-    for _ in range(n):
-        row, release = [], draw(times)
-        for i in range(k):
-            start = release + draw(times)
-            completion = start + draw(times)
-            row.append(StageRecord(i, 0, release, start, completion))
-            release = completion
-        records.append(tuple(row))
-    return inst, ScheduleTrace.from_records(records, max(row[-1].completion for row in records))
-
-
 class TestNaiveOracle:
     """Every checker against `helpers.naive_chain` / `naive_stage` (plain Fractions)."""
 
@@ -258,7 +223,9 @@ class TestNaiveOracle:
         assert report.failures() == [BoundRow(*row) for row in rows if row[1] > row[2]]
         assert report.params == params
         assert report.minimal_t is None
-        assert report.to_json(precision) == naive_report_json("stage-chain", None, rows, params, None, precision)
+        # the params' offsets are a tuple, which JSON reads back as a list: compare the text
+        oracle = naive_report_json("stage-chain", None, rows, params, None, precision)
+        assert report.to_json(precision) == json.dumps(oracle, indent=2)
 
     @settings(max_examples=100)
     @given(checked_traces(), st.fractions(min_value=F(1, 20), max_value=1, max_denominator=20), times)
@@ -273,7 +240,7 @@ class TestNaiveOracle:
             assert report.minimal_t == minimal_t
             assert report.min_slack == min(rhs - lhs for _, lhs, rhs in premise)
             params = {"T": offset, "ms_star": rate, "m": spec.machines, "s": spec.speed}
-            assert report.to_json() == naive_report_json("release-premise", i, premise, params, minimal_t)
+            assert json.loads(report.to_json()) == naive_report_json("release-premise", i, premise, params, minimal_t)
             if not report.holds:
                 with pytest.raises(AnalysisError, match="premise"):
                     check_completion_bound(inst, trace, i, offset, rate)
@@ -282,7 +249,7 @@ class TestNaiveOracle:
             assert [(row.label, row.lhs, row.rhs) for row in report.rows] == completion
             assert report.failures() == [BoundRow(*row) for row in completion if row[1] > row[2]]
             params = {"T": offset, "ms_star": rate, "p_max": p_max, "m": spec.machines, "s": spec.speed}
-            assert report.to_json() == naive_report_json("completion-bound", i, completion, params)
+            assert json.loads(report.to_json()) == naive_report_json("completion-bound", i, completion, params)
 
 
 class TestPriceOfAnarchy:

@@ -172,7 +172,7 @@ def instance_calls(draw):
 
 
 def trace_from_rows(rows, makespan=None):
-    """The trace that rendered `rows` (dicts of trace_rows' cells, as text or ints)."""
+    """The trace that rendered `rows` (dicts of a trace record's cells, as text or ints)."""
     records: dict[int, list] = {}
     for row in rows:
         times = (F(row["release"]), F(row["start"]), F(row["completion"]))

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -15,8 +16,8 @@ from schedgame import (
     validate_trace,
 )
 from schedgame.greedy import events_to_json
-from schedgame.model import format_decimal, format_scalar, queues_to_plan, trace_queues
-from helpers import list_schedule, naive_greedy, naive_replay
+from schedgame.model import queues_to_plan, trace_queues
+from helpers import list_schedule, naive_events_json, naive_greedy, naive_replay
 
 
 def _record_tuples(trace):
@@ -170,27 +171,13 @@ class TestListSchedulingEquivalence:
         assert trace.makespan == makespan
 
 
-def naive_events_json(events, precision):
-    return [
-        {
-            "time": format_scalar(e.time),
-            "time_decimal": format_decimal(e.time, precision),
-            "job": e.job,
-            "stage": e.stage,
-            "loads": [format_scalar(x) for x in e.loads],
-            "machine": e.machine,
-        }
-        for e in events
-    ]
-
-
 class TestEventsToJson:
     """`events_to_json` renders loads from the trace's ticks; the text must equal formatting every entry."""
 
     @given(st.integers(0, 2**32), st.integers(1, 12), st.integers(1, 3), st.integers(0, 100))
     def test_matches_per_entry_formatting(self, seed, n, k, precision):
         _, log = greedy_schedule(gen_random(n, k, (1, 6), seed=seed))
-        assert events_to_json(log, precision) == naive_events_json(log, precision)
+        assert json.loads(events_to_json(log, precision)) == naive_events_json(log, precision)
 
 
 class TestNaiveGreedyOracle:
@@ -213,4 +200,4 @@ class TestNaiveGreedyOracle:
         oracle = [GreedyEvent(*event) for event in events]
         assert len(log) == len(oracle)
         assert list(log) == oracle
-        assert events_to_json(log, precision) == naive_events_json(oracle, precision)
+        assert json.loads(events_to_json(log, precision)) == naive_events_json(oracle, precision)

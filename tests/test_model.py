@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -337,6 +338,6 @@ class TestSerialization:
     def test_json_trace(self):
         inst = Instance.from_sizes([1], [(1, 3)])
         trace, _ = greedy_schedule(inst)
-        data = trace_to_json(trace)
+        data = json.loads(trace_to_json(trace))
         assert data["makespan"] == "1/3"
         assert data["makespan_decimal"] == "0.333333"

@@ -1,4 +1,4 @@
-"""`cli._dumps` against `json.dumps(..., indent=2)`, which it replaces byte for byte."""
+"""`cli._dumps` and the table renderers against `json.dumps(..., indent=2)`, which they replace byte for byte."""
 
 import contextlib
 import io
@@ -12,11 +12,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schedgame import cli, gen_random
+from schedgame import BoundReport, ScheduleTrace, StageSpec, check_multistage_chain, cli, gen_random
+from schedgame.greedy import GreedyLog, events_to_json
+from schedgame.model import JSONText, trace_to_json
+
+from helpers import checked_traces, naive_chain, naive_events_json, naive_report_json, naive_trace_json
 
 
 def reference(value) -> str:
     return json.dumps(value, indent=2)
+
+
+def plain(value):
+    """`value` with each `JSONText` in it replaced by the value it stands for."""
+    if isinstance(value, JSONText):
+        return json.loads(value)
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    return value
 
 
 # every code point, lone surrogates included, with the characters JSON escapes drawn often
@@ -122,6 +137,14 @@ class TestDifferential:
     def test_edge_shapes(self, value):
         assert cli._dumps(value) == reference(value)
 
+    @settings(max_examples=100)
+    @given(trees, trees)
+    def test_json_text_splices_at_any_depth(self, inner, outer):
+        # as a dict value, a list item among strings, and a cell of same-shaped rows
+        text = JSONText(reference(inner))
+        for value in ({"a": text, "b": outer}, ["a", text, "b"], [{"a": 1, "b": text}, {"a": 2, "b": text}, outer]):
+            assert cli._dumps(value) == reference(plain(value))
+
     def test_int_too_long_for_str_raises_like_json(self):
         value = [{"a": 10**5000}]
         with pytest.raises(ValueError):
@@ -175,6 +198,44 @@ def random_plan(data, instance):
     return plan
 
 
+class TestTableRenderers:
+    """Each table renderer's text is `json.dumps(oracle, indent=2)` for its naive dict oracle.
+
+    The traces are greedy play, replays of random plans (whose machines wait
+    for a late job while an earlier one is queued) and hand-built traces
+    whose `scale` is the lcm of random times, not the instance's time grid.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(checked_traces(), st.integers(0, 100))
+    def test_text_equals_the_oracle_dump(self, case, precision):
+        inst, trace = case
+        assert trace_to_json(trace, precision) == reference(naive_trace_json(trace, precision))
+        log = GreedyLog(trace, inst.stages)
+        assert events_to_json(log, precision) == reference(naive_events_json(list(log), precision))
+        rows, params = naive_chain(inst, trace)
+        oracle = naive_report_json("stage-chain", None, rows, params, None, precision)
+        assert check_multistage_chain(inst, trace).to_json(precision) == reference(oracle)
+
+
+class TestMemoScope:
+    """Each distinct tick renders once per call and column kind, never from an earlier call's text."""
+
+    GRID = (((0, 0, 0, 3), (1, 3, 4, 6)), ((1, 0, 0, 6), (0, 6, 6, 9)))
+    STAGES = (StageSpec(2, F(1)), StageSpec(2, F(3, 2)))
+
+    def test_same_ticks_on_other_scales_and_precisions(self):
+        # back to back, the same tick ints: on another scale they are other times
+        for scale, precision in [(1, 6), (2, 6), (3, 6), (2, 0), (7, 100), (3, 2)]:
+            trace = ScheduleTrace(scale, self.GRID, 9)
+            assert trace_to_json(trace, precision) == reference(naive_trace_json(trace, precision))
+            log = GreedyLog(trace, self.STAGES)
+            assert events_to_json(log, precision) == reference(naive_events_json(list(log), precision))
+            report = BoundReport("test", 0, (("a", 3, 6), ("b", 6, 3), ("c", 9, 9)), scale, {})
+            rows = [(label, F(lhs, scale), F(rhs, scale)) for label, lhs, rhs in report.grid]
+            assert report.to_json(precision) == reference(naive_report_json("test", 0, rows, {}, None, precision))
+
+
 class TestCliPayloads:
     """Every JSON payload the CLI writes, at every precision, equals the json module's text."""
 
@@ -186,7 +247,8 @@ class TestCliPayloads:
 
         def checked(payload):
             text = real(payload)
-            assert text == reference(payload)
+            # a trace spliced in at depth 1 (simulate, spne) must read as if nested
+            assert text == reference(plain(payload))
             seen.append(payload)
             return text
 
