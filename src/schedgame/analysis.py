@@ -31,8 +31,8 @@ from .model import (
     Scalar,
     ScheduleTrace,
     StageSpec,
-    _apply,
     _block,
+    _encode,
     _encode_str,
     _Memo,
     _row_template,
@@ -100,6 +100,8 @@ GridRow = tuple[str, int, int]
 
 REPORT_FIELDS = ("inequality", "stage", "holds", "min_slack", "min_slack_decimal", "minimal_t", "params", "rows")
 ROW_FIELDS = ("label", "lhs", "rhs", "slack", "holds")
+_REPORT = _row_template(REPORT_FIELDS, 0)
+_ROW = _row_template(ROW_FIELDS, 2)
 
 
 @dataclass(frozen=True)
@@ -145,9 +147,8 @@ class BoundReport:
         """
         scale = self.scale
         exact = _Memo(lambda ticks: f'"{format_ticks(ticks, scale)}"')
-        row = _row_template(ROW_FIELDS, (str, str, str, str, bool), 2)[0]
         rows = [
-            row % (_encode_str(label), exact[lhs], exact[rhs], exact[rhs - lhs], "true" if lhs <= rhs else "false")
+            _ROW % (_encode_str(label), exact[lhs], exact[rhs], exact[rhs - lhs], "true" if lhs <= rhs else "false")
             for label, lhs, rhs in self.grid
         ]
         min_slack = self.min_slack
@@ -160,8 +161,7 @@ class BoundReport:
             None if self.minimal_t is None else format_scalar(self.minimal_t),
             {k: format_scalar(v) if isinstance(v, Fraction) else v for k, v in self.params.items()},
         )
-        template, cells = _row_template(REPORT_FIELDS, (*map(type, head), list), 0)
-        return JSONText(template % (*map(_apply, cells, head), _block(rows, 1)))
+        return JSONText(_REPORT % (*(_encode(value, 1) for value in head), _block(rows, 1)))
 
 
 def _check_ms_star(instance: Instance, stage: int, ms_star: Scalar) -> None:

@@ -7,9 +7,7 @@ refused; 2 malformed input or arguments.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import itertools
 import json
 import sys
@@ -40,15 +38,14 @@ from .model import (
     Instance,
     ModelError,
     ScheduleTrace,
+    _csv,
     _dumps,
-    _row_template,
     as_plan,
     evaluate_schedule,
     format_decimal,
     format_scalar,
     format_ticks,
     parse_scalar,
-    plan_to_json,
     trace_to_csv,
     trace_to_json,
 )
@@ -239,9 +236,9 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
         "nodes": result.nodes,
     }
     if args.emit_witness == "-":
-        payload["witness"] = plan_to_json(result.plan)
+        payload["witness"] = result.plan
     elif args.emit_witness is not None:
-        _write_output(_dumps(plan_to_json(result.plan)), args.emit_witness)
+        _write_output(_dumps(result.plan), args.emit_witness)
     _write_output(_dumps(payload), args.output)
     return 0
 
@@ -278,19 +275,17 @@ def _cmd_spne(args: argparse.Namespace) -> int:
 
 
 def _spne_csv(instance: Instance, result) -> str:
-    buf = io.StringIO()
     header = ["policy", "job", "size"]
     for i in range(instance.k):
         header += [f"release_{i}", f"completion_{i}"]
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    rows = []
     for label, trace in (("equilibrium", result.trace), ("greedy", result.greedy_trace)):
         for j in range(instance.n):
             row: list[str | int] = [label, j, format_scalar(instance.jobs[j].size)]
             for _, release, _, completion in trace.grid[j]:
                 row += [format_ticks(release, trace.scale), format_ticks(completion, trace.scale)]
-            writer.writerow(row)
-    return buf.getvalue()
+            rows.append(row)
+    return _csv(header, rows)
 
 
 def _cmd_poa(args: argparse.Namespace) -> int:
@@ -421,11 +416,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             + [row_params.get(name, "") for name in names]
             + [t_equ, t_opt, opt_status, ratio, ceiling, min_slack, status]
         )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["family"] + names + list(SWEEP_BASE_FIELDS[1:]))
-    writer.writerows(rows)
-    _write_output(buf.getvalue(), args.output)
+    _write_output(_csv(["family"] + names + list(SWEEP_BASE_FIELDS[1:]), rows), args.output)
     return 0
 
 

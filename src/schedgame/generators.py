@@ -133,9 +133,9 @@ def _draw_rational(rng: SplitMix64, rng_spec: RationalRange, what: str) -> Fract
         raise ValueError(f"{what}: max denominator must be >= 1")
     if lo <= 0 or hi < lo:
         raise ValueError(f"{what}: need 0 < lo <= hi, got [{lo}, {hi}]")
-    for q in range(1, max_den + 1):
-        if -((-lo.numerator * q) // lo.denominator) > (hi.numerator * q) // hi.denominator:
-            raise ValueError(f"{what}: no numerator available for denominator {q} in [{lo}, {hi}]")
+    # an integer N in [lo, hi] makes N*q a numerator for every q; without one, q = 1 has none
+    if -(-lo.numerator // lo.denominator) > hi.numerator // hi.denominator:
+        raise ValueError(f"{what}: no numerator available for denominator 1 in [{lo}, {hi}]")
     q = rng.randint(1, max_den)
     lo_num = -((-lo.numerator * q) // lo.denominator)
     hi_num = (hi.numerator * q) // hi.denominator

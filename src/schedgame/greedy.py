@@ -91,6 +91,7 @@ def release_order(trace: ScheduleTrace, stage: int) -> list[int]:
 
 
 EVENT_FIELDS = ("time", "time_decimal", "job", "stage", "loads", "machine")
+_EVENT = _row_template(EVENT_FIELDS, 1)
 
 
 def events_to_json(log: GreedyLog, precision: int = 6) -> JSONText:
@@ -105,13 +106,12 @@ def events_to_json(log: GreedyLog, precision: int = 6) -> JSONText:
     trace, scale = log.trace, log.trace.scale
     time = _Memo(lambda ticks: f'"{format_ticks(ticks, scale)}"')
     time_decimal = _Memo(lambda ticks: f'"{format_decimal_ticks(ticks, scale, precision)}"')
-    event = _row_template(EVENT_FIELDS, (str, str, int, int, list, int), 1)[0]
     out = []
     for i, spec in enumerate(log.stages):
         num, den = spec.speed.numerator, spec.speed.denominator * scale
         loads = ['"0"'] * spec.machines
         for j in release_order(trace, i):
             machine, release, _, completion = trace.grid[j][i]
-            out.append(event % (time[release], time_decimal[release], j, i, _block(loads, 2), machine))
+            out.append(_EVENT % (time[release], time_decimal[release], j, i, _block(loads, 2), machine))
             loads[machine] = f'"{format_ticks(num * completion, den)}"'
     return JSONText(_block(out, 0))

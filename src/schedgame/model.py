@@ -17,7 +17,6 @@ import functools
 import io
 import json
 import math
-import operator
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,9 +175,6 @@ class _Memo(dict):
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-# C-level text of one exact-typed row cell; any other cell type renders recursively
-_CELL_TEXT = {str: _encode_str, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__}
-_apply = getattr(operator, "call", None) or (lambda fn, value: fn(value))  # operator.call is 3.11+
 
 
 def _dumps(payload: object) -> str:
@@ -187,9 +183,7 @@ def _dumps(payload: object) -> str:
     With an indent the json module falls back to its pure-Python encoder. This
     writer renders dict (str keys), list, tuple, str, int, bool and None with
     C-level string and int encoders, and raises TypeError for anything else.
-    A `JSONText` is spliced in as the value it stands for. Each row of a list
-    of dicts that shares the first row's key tuple and cell-type tuple renders
-    through one %-template.
+    A `JSONText` is spliced in as the value it stands for.
     """
     return _encode(payload, 0)
 
@@ -209,7 +203,7 @@ def _encode(value: object, depth: int) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, (list, tuple)):
-        return _block(_encode_items(value, depth + 1), depth)
+        return _block([_encode(v, depth + 1) for v in value], depth)
     if isinstance(value, dict):
         return _block([_encode_key(k) + ": " + _encode(v, depth + 1) for k, v in value.items()], depth, "{}")
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -229,32 +223,18 @@ def _encode_key(key: object) -> str:
     return _encode_str(key)
 
 
-def _encode_items(items: Sequence, depth: int) -> list[str]:
-    """The text of each item of a list, the items at `depth`."""
-    if not items:
-        return []
-    first = items[0]
-    if type(first) is dict and first:
-        keys = tuple(first)
-        types = tuple(map(type, first.values()))
-        template, cells = _row_template(keys, types, depth)
-        return [
-            template % tuple(map(_apply, cells, row.values()))
-            if type(row) is dict and tuple(row) == keys and tuple(map(type, row.values())) == types
-            else _encode(row, depth)
-            for row in items
-        ]
-    if all(type(v) is str for v in items):
-        return list(map(_encode_str, items))
-    return [_encode(v, depth) for v in items]
+def _row_template(keys: Sequence[str], depth: int) -> str:
+    """A %-template for a dict at `depth` with these keys, one %s per value's JSON text."""
+    return _block([_encode_key(k).replace("%", "%%") + ": %s" for k in keys], depth, "{}")
 
 
-@functools.lru_cache(maxsize=256)
-def _row_template(keys: tuple, types: tuple, depth: int) -> tuple[str, tuple]:
-    """A %-template for a dict at `depth` with these keys, and one text callable per cell."""
-    fields = [_encode_key(k).replace("%", "%%") + ": %s" for k in keys]
-    cells = tuple(_CELL_TEXT.get(t) or functools.partial(_encode, depth=depth + 1) for t in types)
-    return _block(fields, depth, "{}"), cells
+def _csv(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """CSV text of `header` and then `rows`, each line ending in a bare newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -503,10 +483,6 @@ def as_plan(obj: Sequence[Sequence[Sequence[int]]]) -> Plan:
     return tuple(plan)
 
 
-def plan_to_json(plan: Plan) -> list:
-    return [[[m, p] for m, p in stage] for stage in plan]
-
-
 def plan_to_queues(instance: Instance, plan: Plan | Sequence) -> Queues:
     """Check that `plan` covers `instance` and return its queue sequences.
 
@@ -661,6 +637,8 @@ TRACE_CSV_FIELDS = (
     "start_decimal",
     "completion_decimal",
 )
+_RECORD = _row_template(TRACE_CSV_FIELDS, 2)
+_TRACE = _row_template(("makespan", "makespan_decimal", "records"), 0)
 
 
 def _trace_cells(trace: ScheduleTrace, precision: int, form: str) -> list[tuple]:
@@ -680,11 +658,7 @@ def _trace_cells(trace: ScheduleTrace, precision: int, form: str) -> list[tuple]
 
 
 def trace_to_csv(trace: ScheduleTrace, precision: int = 6) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_CSV_FIELDS)
-    writer.writerows(_trace_cells(trace, precision, "%s"))
-    return buf.getvalue()
+    return _csv(TRACE_CSV_FIELDS, _trace_cells(trace, precision, "%s"))
 
 
 def trace_to_json(trace: ScheduleTrace, precision: int = 6) -> JSONText:
@@ -695,9 +669,7 @@ def trace_to_json(trace: ScheduleTrace, precision: int = 6) -> JSONText:
     decimals rounded to `precision` digits. It is written straight from the
     ticks, each distinct time rendered once.
     """
-    record = _row_template(TRACE_CSV_FIELDS, (int,) * 3 + (str,) * 6, 2)[0]
-    records = [record % cells for cells in _trace_cells(trace, precision, '"%s"')]
+    records = [_RECORD % cells for cells in _trace_cells(trace, precision, '"%s"')]
     ticks, scale = trace.makespan_ticks, trace.scale
     makespan = (f'"{format_ticks(ticks, scale)}"', f'"{format_decimal_ticks(ticks, scale, precision)}"')
-    head = _row_template(("makespan", "makespan_decimal", "records"), (str, str, list), 0)[0]
-    return JSONText(head % (*makespan, _block(records, 1)))
+    return JSONText(_TRACE % (*makespan, _block(records, 1)))

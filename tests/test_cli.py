@@ -52,6 +52,26 @@ class TestGenerate:
         assert code == 2
         assert "needs parameter" in err
 
+    def test_output_is_byte_identical_to_golden(self, capsys, tmp_path):
+        argv = ["generate", "--family", "random", "--n", "10", "--k", "3", "--machine-range", "3:5", "--seed", "5"]
+        assert run_cli(capsys, argv) == (0, (GOLDEN / "random_wide.json").read_text(), "")
+        out = tmp_path / "appendix.json"
+        assert run_cli(capsys, ["generate", "--family", "appendix", "-o", str(out)]) == (0, "", "")
+        assert out.read_text() == (GOLDEN / "appendix.json").read_text()
+
+    def test_huge_max_denominator_is_quick(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["generate", "--family", "random", "--n", "1", "--k", "1", "--size-range", "1:6:1000000000000"]
+        )
+        assert (code, err) == (0, "")
+        assert 1 <= Instance.from_json(json.loads(out)).jobs[0].size <= 6
+
+    def test_range_without_a_numerator(self, capsys):
+        argv = ["generate", "--family", "random", "--n", "1", "--k", "1", "--size-range", "4/3:5/3:7"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "no numerator available for denominator 1 in [4/3, 5/3]" in err
+
 
 class TestSimulate:
     def test_pipe_appendix_greedy(self, capsys, monkeypatch, tmp_path):
@@ -290,12 +310,21 @@ class TestJsonOutput:
             ("simulate", "simulate_random_wide.json"),
             ("poa", "poa_appendix.json"),
             ("spne", "spne_appendix.json"),
+            ("simulate", "simulate_random_wide.csv"),
+            ("spne", "spne_appendix.csv"),
+            # 4 nodes, exact makespan 113, witness on stdout
+            ("optimal", "optimal_appendix.json"),
         ],
     )
     def test_output_is_byte_identical_to_golden(self, capsys, command, expected):
-        # each golden is named after its command and its input instance
-        argv = [command, "-i", str(GOLDEN / expected.removeprefix(f"{command}_"))]
-        assert run_cli(capsys, argv) == (0, (GOLDEN / expected).read_text(), "")
+        # each golden is named after its command and its input instance; a .csv one is --format csv
+        golden = GOLDEN / expected
+        argv = [command, "-i", str(GOLDEN / golden.with_suffix(".json").name.removeprefix(f"{command}_"))]
+        if golden.suffix == ".csv":
+            argv += ["--format", "csv"]
+        if command == "optimal":
+            argv += ["--emit-witness", "-"]
+        assert run_cli(capsys, argv) == (0, golden.read_text(), "")
 
     @pytest.mark.parametrize(
         "argv",

@@ -124,7 +124,9 @@ def generate_calls(draw):
     argv += maybe(draw, "--fast-speed", st.sampled_from(["1e6", "0", "x"]))
     argv += maybe(draw, "--machine-range", st.sampled_from(["1:3", "3:1", "a:b", "1", "0:2", "2:2"]))
     for flag in ("--speed-range", "--size-range"):
-        argv += maybe(draw, flag, st.sampled_from(["1/2:3:2", "3:1/2:2", "a", "1:2:0", "1:2:x", "0:0:1", "1:1:1"]))
+        argv += maybe(draw, flag, st.sampled_from(
+            ["1/2:3:2", "3:1/2:2", "a", "1:2:0", "1:2:x", "0:0:1", "1:1:1", "1:6:1000000000000", "4/3:5/3:7"]
+        ))
     argv += maybe(draw, "--precision", st.just("3"))
     return argv, {}
 

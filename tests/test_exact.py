@@ -20,12 +20,12 @@ from schedgame import (
     single_stage_optimal,
 )
 from schedgame import exact
-from schedgame.model import as_plan, plan_to_json, plan_to_queues, queues_to_plan
+from schedgame.model import as_plan, plan_to_queues, queues_to_plan
 from helpers import brute_force_optimal, brute_force_partition, dominated
 
 
 def _json_round_trip(plan):
-    return as_plan(json.loads(json.dumps(plan_to_json(plan))))
+    return as_plan(json.loads(json.dumps(plan)))
 
 
 SPEEDS = st.sampled_from([F(1), F(1, 2), F(3)])

@@ -155,6 +155,20 @@ class TestGenRandom:
         with pytest.raises(ValueError):
             gen_random(2, 1, size_range=(F(1, 3), F(1, 3), 1))
 
+    def test_rejects_a_range_without_an_integer(self):
+        # no q up to 7 has a numerator in [4/3, 5/3]; the message names q = 1
+        with pytest.raises(ValueError, match=r"no numerator available for denominator 1 in \[4/3, 5/3\]"):
+            gen_random(1, 1, size_range=(F(4, 3), F(5, 3), 7))
+
+    @given(st.integers(0, 200))
+    def test_huge_max_denominator_draws_in_range(self, seed):
+        # checking the range costs one step, not one per denominator
+        inst = gen_random(2, 2, speed_range=(F(1, 2), 3, 10**12), size_range=(1, 6, 10**12), seed=seed)
+        for s in inst.stages:
+            assert F(1, 2) <= s.speed <= 3 and s.speed.denominator <= 10**12
+        for j in inst.jobs:
+            assert 1 <= j.size <= 6 and j.size.denominator <= 10**12
+
     def test_rejects_bad_machine_range(self):
         with pytest.raises(ValueError):
             gen_random(2, 1, machine_range=(2, 1))

@@ -152,12 +152,6 @@ class TestDifferential:
         with pytest.raises(ValueError):
             cli._dumps(value)
 
-    def test_templates_are_built_from_keys(self):
-        cli._row_template.cache_clear()
-        rows = [{"job": j, "loads": [str(j)]} for j in range(50)]
-        cli._dumps({"a": rows, "b": {"c": rows}, "d": rows})
-        assert cli._row_template.cache_info().misses == 2  # one template per depth, not per row
-
 
 class TestRefusals:
     @pytest.mark.parametrize(
