@@ -22,7 +22,8 @@ from .exact import (
     SearchLimits,
     opt_lower_bounds,
     optimal_makespan,
-    single_stage_optimal,
+    # unused here: perfbench/spans.py wraps analysis.single_stage_optimal (tests/test_bench_tracer.py checks it)
+    single_stage_optimal,  # noqa: F401
 )
 from .greedy import greedy_schedule
 from .model import (
@@ -407,11 +408,7 @@ def price_of_anarchy(instance: Instance, limits: SearchLimits | None = None) -> 
         ceiling = 3 - Fraction(1, max(s.machines for s in instance.stages))
     t_opt: Scalar | None = None
     try:
-        if instance.k == 1:
-            spec = instance.stages[0]
-            result = single_stage_optimal(list(instance.jobs), spec.machines, spec.speed, limits)
-        else:
-            result = optimal_makespan(instance, limits)
+        result = optimal_makespan(instance, limits)
         opt_status = result.status
         lower = max(path, bottleneck, result.lower_bound)
         if result.status == "exact":

@@ -10,6 +10,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -40,7 +41,6 @@ from .model import (
     ScheduleTrace,
     _csv,
     _dumps,
-    as_plan,
     evaluate_schedule,
     format_decimal,
     format_scalar,
@@ -200,7 +200,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _replay_plan(instance: Instance, path: str) -> ScheduleTrace:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return evaluate_schedule(instance, as_plan(json.load(fh)))
+            return evaluate_schedule(instance, json.load(fh))
     except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot replay plan: {exc}") from exc
 
@@ -319,6 +319,11 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     return 0 if report.holds else 1
 
 
+# Most points a sweep grid may have. Its values and points are counted before
+# any is built, so a range such as seed=0..10**11 is refused up front.
+MAX_SWEEP_POINTS = 10**5
+
+
 def _expand_sweep_values(raw: str, name: str) -> list[str]:
     values: list[str] = []
     for part in raw.split(","):
@@ -328,6 +333,8 @@ def _expand_sweep_values(raw: str, name: str) -> list[str]:
         if ".." in part:
             lo, _, hi = part.partition("..")
             start, end = _parse_int(lo, f"{name} range start"), _parse_int(hi, f"{name} range end")
+            if len(values) + end - start + 1 > MAX_SWEEP_POINTS:
+                raise CliError(f"parameter {name} has more than {MAX_SWEEP_POINTS} values (sweep cap)")
             values.extend(str(v) for v in range(start, end + 1))
         else:
             values.append(part)
@@ -376,6 +383,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             grid_params[name] = [_parse_scalar_arg(v, name) for v in values]
         else:
             grid_params[name] = [tuple(_parse_int(x, name) for x in v.split(":")) for v in values]
+    points = math.prod(map(len, grid_params.values()))
+    if points > MAX_SWEEP_POINTS:
+        raise CliError(f"sweep grid has {points} points (cap {MAX_SWEEP_POINTS})")
     limits = _parse_limits(args.limits)
     names = sorted(grid_params)
     rows: list[list[str]] = []

@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 
 from .exact import DEFAULT_LIMITS, LimitsExceeded, SearchLimits
 from .greedy import greedy_schedule
-from .model import Instance, Plan, Scalar, ScheduleTrace, evaluate_schedule, queues_to_plan, time_grid
+from .model import Instance, Plan, Scalar, ScheduleTrace, evaluate_schedule, queues_to_plan
 
 __all__ = [
     "DEFER",
@@ -141,7 +141,7 @@ class _GameSolver:
         self.instance = instance
         self.model = model or ActionModel()
         self.k = instance.k
-        self.scale, self.exec = time_grid(instance.sizes(), [s.speed for s in instance.stages])
+        self.scale, self.exec = instance.time_grid
         # rempath[j][i]: job j's execution ticks from stage i on
         self.rempath = [[sum(row[i:]) for i in range(self.k)] for row in self.exec]
         self.machine_actions: list[tuple[Action, ...]] = [tuple(range(s.machines)) for s in instance.stages]

@@ -20,7 +20,7 @@ from itertools import islice
 from operator import le
 
 from .greedy import greedy_schedule
-from .model import Instance, Job, Plan, Queues, Scalar, ScheduleTrace, StageSpec, queues_to_plan, time_grid, trace_queues
+from .model import Instance, Job, Plan, Queues, Scalar, ScheduleTrace, StageSpec, queues_to_plan, trace_queues
 
 __all__ = [
     "SearchLimits",
@@ -87,30 +87,29 @@ class OptResult:
 
 
 def opt_lower_bounds(instance: Instance) -> tuple[Scalar, Scalar]:
-    """Two certified lower bounds on the optimal makespan.
+    """Two certified lower bounds on the optimal makespan, read off the time grid.
 
     path bound: the largest job must still traverse every stage, so no plan
-    beats sum_i p_max/s_i. bottleneck bound: all work must pass the stage with
-    the smallest processing rate m_i*s_i, so no plan beats total size divided
-    by that rate.
+    beats its row of `ticks` (sum_i p_max/s_i). bottleneck bound: each stage
+    must serve all the work on its m_i machines, so no plan beats the largest
+    stage total over m_i (total size over the smallest rate m_i*s_i).
     """
-    p_max = max(job.size for job in instance.jobs)
-    total = sum((job.size for job in instance.jobs), Fraction(0))
-    path = sum((p_max / s.speed for s in instance.stages), Fraction(0))
-    rate = min(s.machines * s.speed for s in instance.stages)
-    return path, total / rate
+    scale, ticks = instance.time_grid
+    path = Fraction(max(map(sum, ticks)), scale)
+    bottleneck = max(Fraction(sum(column), s.machines * scale) for s, column in zip(instance.stages, zip(*ticks)))
+    return path, bottleneck
 
 
-def _heuristic_plan(instance: Instance, ticks: list[list[int]]) -> tuple[ScheduleTrace, Queues]:
+def _heuristic_plan(instance: Instance) -> tuple[ScheduleTrace, Queues]:
     """Best of a few greedy passes (priority order, sizes descending/ascending).
 
     Queues are order-free: relabelling a reordered instance's greedy queues
     back through `order` gives a plan that evaluates identically on the
-    original instance. `ticks` is the instance's time grid, whose first column
-    orders the jobs by size. Returns the best trace (all share one time grid)
-    and its queues.
+    original instance. The first column of the time grid orders the jobs by
+    size. Returns the best trace (all share one time grid) and its queues.
     """
     n = instance.n
+    ticks = instance.time_grid[1]
     best: tuple[ScheduleTrace, Queues] | None = None
     orders = [
         list(range(n)),
@@ -140,26 +139,19 @@ def optimal_makespan(instance: Instance, limits: SearchLimits | None = None) -> 
     """
     limits = limits or DEFAULT_LIMITS
     n, k = instance.n, instance.k
-    machines = [s.machines for s in instance.stages]
-    scale, ticks = time_grid(instance.sizes(), [s.speed for s in instance.stages])
-    stage_totals = [sum(column) for column in zip(*ticks)]
-    ub, ub_queues = _heuristic_plan(instance, ticks)
-    # opt_lower_bounds on the grid: the path bound is the largest row sum of
-    # `ticks`, the bottleneck bound the largest stage total over the stage's
-    # machine count. No plan beats either, so `span` meets the larger iff it
-    # is at most one of them.
-    span, path = ub.makespan_ticks, max(map(sum, ticks))
-    if span <= path or any(span * m <= total for m, total in zip(machines, stage_totals)):
+    ub, ub_queues = _heuristic_plan(instance)
+    lower = max(opt_lower_bounds(instance))
+    if ub.makespan <= lower:
         return OptResult(ub.makespan, queues_to_plan(ub_queues), "exact", ub.makespan, 0)
     job_cap = limits.max_jobs if k == 1 else min(limits.max_jobs, limits.max_jobs_multistage)
     if n > job_cap:
         raise LimitsExceeded(f"{n} jobs exceeds the solver cap of {job_cap} for k={k}")
     if k > limits.max_stages:
         raise LimitsExceeded(f"{k} stages exceeds the solver cap of {limits.max_stages}")
-    if k > 1 and max(machines) > limits.max_machines:
-        raise LimitsExceeded(f"{max(machines)} machines in a stage exceeds the cap of {limits.max_machines}")
-    lower = max(Fraction(path), *(Fraction(total, m) for m, total in zip(machines, stage_totals)))
-    return _PlanSearch(instance, limits, scale, ticks, ub, ub_queues, lower).run()
+    widest = max(s.machines for s in instance.stages)
+    if k > 1 and widest > limits.max_machines:
+        raise LimitsExceeded(f"{widest} machines in a stage exceeds the cap of {limits.max_machines}")
+    return _PlanSearch(instance, limits, ub, ub_queues, lower).run()
 
 
 def single_stage_optimal(
@@ -219,33 +211,28 @@ class _PlanSearch:
         self,
         instance: Instance,
         limits: SearchLimits,
-        scale: int,
-        ticks: list[list[int]],
         ub: ScheduleTrace,
         ub_queues: Queues,
         lower: Fraction,
     ) -> None:
-        """`lower` is the analytic lower bound in ticks of 1/`scale`."""
+        """`lower` is the analytic lower bound on the makespan (`opt_lower_bounds`)."""
         self.n = instance.n
         self.k = instance.k
         self.machines = tuple(s.machines for s in instance.stages)
-        self.scale, self.exec_int = scale, ticks
+        self.scale, self.exec_int = instance.time_grid
         # rempath[j][i] = total execution still ahead of job j from stage i on
-        self.rempath = [[0] * (self.k + 1) for _ in range(self.n)]
-        for j in range(self.n):
-            for i in range(self.k - 1, -1, -1):
-                self.rempath[j][i] = self.rempath[j][i + 1] + self.exec_int[j][i]
+        self.rempath = [[sum(row[i:]) for i in range(self.k + 1)] for row in self.exec_int]
         self.stage_total = [sum(self.exec_int[j][i] for j in range(self.n)) for i in range(self.k)]
         assert ub.scale == self.scale, "heuristic plan off the exact time grid"
         self.best = ub.makespan_ticks
         self.best_seqs = ub_queues
-        self.analytic_lb = lower / scale
-        self.target = math.ceil(lower)
+        self.analytic_lb = lower
+        self.target = math.ceil(lower * self.scale)
         # equal-size jobs are interchangeable; canonicalize their stage-0 slots
         self.equal_pred_mask = [0] * self.n
         for j in range(self.n):
             for j2 in range(j):
-                if ticks[j2][0] == ticks[j][0]:
+                if self.exec_int[j2][0] == self.exec_int[j][0]:
                     self.equal_pred_mask[j] |= 1 << j2
         self.archives = [_Archive() for _ in range(self.k - 1)]
         self.nodes = 0

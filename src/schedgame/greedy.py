@@ -17,7 +17,6 @@ from .model import (
     _row_template,
     format_decimal_ticks,
     format_ticks,
-    time_grid,
 )
 
 
@@ -61,7 +60,7 @@ def greedy_schedule(instance: Instance) -> tuple[ScheduleTrace, GreedyLog]:
     ties go to the lowest index. Returns the trace plus the decision log.
     """
     n = instance.n
-    scale, ticks = time_grid(instance.sizes(), [s.speed for s in instance.stages])
+    scale, ticks = instance.time_grid
     grid: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
     releases = [0] * n
     for i, spec in enumerate(instance.stages):

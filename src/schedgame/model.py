@@ -3,8 +3,8 @@
 Every size, speed, and time is an exact rational (`fractions.Fraction`) at the
 API boundary. Ties between machine loads are semantically load-bearing, so
 nothing ever rounds: the kernels run on the instance's integer time grid
-(`time_grid`), which represents every reachable time exactly, and build
-fractions only for the results they return. Decimal strings are parsed to
+(`Instance.time_grid`), which represents every reachable time exactly, and
+build fractions only for the results they return. Decimal strings are parsed to
 exact fractions on the way in and rendered back to decimals only at the
 output boundary, where `_dumps` writes every JSON output and the big row
 tables write their own text straight from their ticks (`JSONText`).
@@ -300,6 +300,11 @@ class Instance:
     def sizes(self) -> tuple[Scalar, ...]:
         return tuple(job.size for job in self.jobs)
 
+    @functools.cached_property
+    def time_grid(self) -> tuple[int, list[list[int]]]:
+        """`time_grid` of the sizes and speeds, built on first read; every kernel reads it, none mutates it."""
+        return time_grid(self.sizes(), [s.speed for s in self.stages])
+
     @staticmethod
     def from_sizes(
         sizes: Sequence[Scalar | str | int],
@@ -552,7 +557,7 @@ def evaluate_schedule(instance: Instance, plan: Plan | Sequence) -> ScheduleTrac
     completes stage i.
     """
     queues = plan_to_queues(instance, plan)
-    scale, ticks = time_grid(instance.sizes(), [s.speed for s in instance.stages])
+    scale, ticks = instance.time_grid
     grid: list[list[tuple[int, int, int, int]]] = [[] for _ in range(instance.n)]
     for i, stage in enumerate(queues):
         for machine, queue in enumerate(stage):

@@ -390,6 +390,21 @@ def naive_time_grid(sizes, speeds):
     return scale, [[t.numerator * (scale // t.denominator) for t in row] for row in times]
 
 
+def naive_opt_lower_bounds(instance: Instance):
+    """`exact.opt_lower_bounds` in `Fraction`s, as the paper states the two bounds.
+
+    path bound: the largest job must still traverse every stage, so no plan
+    beats sum_i p_max/s_i. bottleneck bound: all work must pass the stage with
+    the smallest processing rate m_i*s_i, so no plan beats total size divided
+    by that rate.
+    """
+    p_max = max(job.size for job in instance.jobs)
+    total = sum((job.size for job in instance.jobs), Fraction(0))
+    path = sum((p_max / s.speed for s in instance.stages), Fraction(0))
+    rate = min(s.machines * s.speed for s in instance.stages)
+    return path, total / rate
+
+
 times = st.fractions(min_value=0, max_value=20, max_denominator=97)
 
 

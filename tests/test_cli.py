@@ -1,11 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from schedgame import Instance, gen_appendix_example
+import schedgame
+from schedgame import Instance, gen_appendix_example, gen_random
 from schedgame import cli
 from schedgame.cli import main
 
@@ -436,6 +440,80 @@ class TestSweep:
             assert row["status"] == "ok"
             assert row["opt_status"] == "refused"
             assert F(row["ratio"]) > 1
+
+
+# `schedgame.cli.main(argv)` in a process whose address space is capped, so
+# that a sweep which tries to build its grid fails fast instead of exhausting
+# the host's memory
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+from schedgame.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_capped(argv):
+    src = str(Path(schedgame.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, *argv], capture_output=True, text=True, timeout=60, env=env
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestSweepCap:
+    def test_huge_range_is_refused_before_it_is_built(self):
+        argv = ["sweep", "--family", "random", "--param", "n=1", "--param", "k=1",
+                "--param", "seed=0..100000000000", "--ops", "greedy"]
+        code, out, err = run_capped(argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: parameter seed has more than {cli.MAX_SWEEP_POINTS} values (sweep cap)\n"
+
+    def test_ranges_count_together(self):
+        argv = ["sweep", "--family", "random", "--param", f"seed=1..{cli.MAX_SWEEP_POINTS},0..0", "--ops", "greedy"]
+        code, out, err = run_capped(argv)
+        assert (code, out) == (2, "")
+        assert "parameter seed has more than" in err
+
+    def test_grid_product_is_refused_before_it_is_built(self):
+        argv = ["sweep", "--family", "random", "--param", "n=1..100000", "--param", "k=1..100000", "--ops", "greedy"]
+        code, out, err = run_capped(argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: sweep grid has {10**10} points (cap {cli.MAX_SWEEP_POINTS})\n"
+
+
+class TestOneGridPerInstance:
+    @pytest.mark.parametrize(
+        "command, grids",
+        [
+            (["simulate"], 1),
+            (["verify-bounds"], 1),
+            (["spne"], 1),
+            # greedy's grid, then one per reordered instance of the solver's three heuristic passes
+            (["poa"], 4),
+        ],
+        ids=["simulate", "verify-bounds", "spne", "poa"],
+    )
+    @pytest.mark.parametrize(
+        "instance",
+        [gen_appendix_example(), gen_random(4, 1, (2, 2), seed=3), gen_random(4, 2, seed=8)],
+        ids=["appendix", "one-stage", "two-stage"],
+    )
+    def test_grids_per_op(self, capsys, monkeypatch, tmp_path, command, grids, instance):
+        path = write_instance(tmp_path, instance)
+        calls = []
+        build = schedgame.model.time_grid
+        # counted in every namespace that holds it, so that an import of it elsewhere is counted too
+        for module in (schedgame.model, schedgame.greedy, schedgame.exact, schedgame.equilibrium):
+            if hasattr(module, "time_grid"):
+                monkeypatch.setattr(module, "time_grid", lambda *args: calls.append(args) or build(*args))
+        assert run_cli(capsys, [*command, "-i", path])[0] == 0
+        assert len(calls) == grids
+
+    def test_only_the_model_builds_grids(self):
+        for module in (schedgame.greedy, schedgame.exact, schedgame.equilibrium, schedgame.analysis):
+            assert not hasattr(module, "time_grid"), module
 
 
 class TestUsageErrors:

@@ -21,7 +21,7 @@ from schedgame import (
 )
 from schedgame import exact
 from schedgame.model import as_plan, plan_to_queues, queues_to_plan
-from helpers import brute_force_optimal, brute_force_partition, dominated
+from helpers import brute_force_optimal, brute_force_partition, dominated, naive_opt_lower_bounds
 
 
 def _json_round_trip(plan):
@@ -57,6 +57,18 @@ class TestLowerBounds:
         path, bottleneck = opt_lower_bounds(appendix_instance())
         assert path == 112
         assert bottleneck == 110
+
+    @given(
+        st.lists(st.fractions(min_value=F(1, 7), max_value=12, max_denominator=7), min_size=1, max_size=6),
+        st.lists(
+            st.tuples(st.integers(1, 4), st.fractions(min_value=F(1, 7), max_value=5, max_denominator=7)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_grid_bounds_equal_the_fraction_formulas(self, sizes, stages):
+        inst = Instance.from_sizes(sizes, stages)
+        assert opt_lower_bounds(inst) == naive_opt_lower_bounds(inst)
 
     @given(st.integers(0, 300))
     def test_bounds_never_exceed_optimum(self, seed):

@@ -283,6 +283,15 @@ class TestTimeGrid:
         else:
             assert time_grid(sizes, speeds) == (scale, ticks)
 
+    def test_instance_grid_leaves_equality_and_hash_unchanged(self):
+        fresh = Instance.from_sizes([10, F(1, 3)], [(2, F(2, 5)), (1, 3)])
+        read = Instance.from_sizes([10, F(1, 3)], [(2, F(2, 5)), (1, 3)])
+        before = hash(read)
+        assert read.time_grid == time_grid(read.sizes(), [s.speed for s in read.stages])
+        assert read.time_grid is read.time_grid
+        assert hash(read) == before == hash(fresh)
+        assert read == fresh and {read: 1}[fresh] == 1
+
 
 class TestScaleCovariance:
     @given(
