@@ -100,6 +100,8 @@ def _parse_limits(spec: str | None) -> SearchLimits:
         key = key.strip()
         if key not in fields:
             raise CliError(f"unknown limit {key!r}; known: {', '.join(fields)}")
+        if key in values:
+            raise CliError(f"limit {key} given twice")
         try:
             values[key] = int(raw.strip())
         except ValueError as exc:

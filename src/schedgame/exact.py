@@ -1,12 +1,14 @@
 """Exact optimal makespan via exhaustive search, plus certified lower bounds.
 
-The solver explores every plan of the non-final stages (per-stage machine
-assignment and per-machine queue order) and every machine assignment of the
-last stage, whose machines serve in order of release: there only the makespan
-matters, and one machine with release dates finishes soonest that way
-(Jackson's rule). Branch-and-bound pruning, machine-symmetry breaking, and
-dominance filtering on stage completion vectors cut the search. It either
-certifies the exact optimum or refuses; it never silently approximates.
+The solver explores every list schedule of the non-final stages (each job
+order, each job appended to the least available machine) and every machine
+assignment of the last stage, whose machines serve in order of release: there
+only the makespan matters, and one machine with release dates finishes soonest
+that way (Jackson's rule). List schedules complete every job no later than any
+plan of their stage does (proof in `_PlanSearch._enumerate`), so no optimum is
+lost. Branch-and-bound pruning, machine-symmetry breaking, and dominance
+filtering on stage completion vectors cut the search. It either certifies the
+exact optimum or refuses; it never silently approximates.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class SearchLimits:
     when a heuristic plan already matches the certified lower bound, in which
     case the optimum is known without searching. Multi-stage instances face
     the tighter `max_jobs_multistage` cap because the search also enumerates
-    the queue orders of every stage but the last. `max_machines` caps the
+    the job orders (list schedules) of every stage but the last. `max_machines` caps the
     machines per stage of pipelines only: one stage is a partition of the
     sizes. `node_budget` caps the search nodes; a node is one attempt to place
     a job on a machine, pruned or not.
@@ -353,56 +355,67 @@ class _PlanSearch:
         return kept
 
     def _enumerate(self, stage_i: int, releases: tuple[int, ...]) -> dict[tuple[int, ...], tuple]:
-        """Every canonical FIFO plan of a non-final stage, keyed by completion vector.
+        """Every list schedule of a non-final stage, keyed by completion vector.
 
-        Machine symmetry is broken by requiring each machine's queue to contain
-        the smallest job id unused when it was opened, empties trailing. A job
+        The search runs depth-first over the order of the stage's jobs. Each
+        job in turn goes to the least available machine with the lowest index
+        (greedy's own pick) and starts at max(release, availability). These
+        list schedules dominate every FIFO plan of the stage:
+        - Take any plan and list its jobs by start time. Suppose job j is the
+          first whose list start exceeds its plan start S_j. As j's release is
+          at most S_j, all m machines of the list schedule are busy past S_j.
+        - The last job on each of those machines comes before j in the list,
+          so it starts no later in the list schedule than in the plan
+          (induction), and in the plan no later than S_j. In the plan it runs
+          just as long, so it ends no earlier: after S_j.
+        - Execution times are positive, so in the plan those m jobs and j all
+          run just after S_j, on only m machines. That is a contradiction.
+        So every job completes no later in the list schedule than in the plan,
+        and a plan of the later stages serves earlier releases no later. Each
+        machine serves its list-scheduled jobs in list order, so the witness
+        is a FIFO plan and replays through `evaluate_schedule`.
+
+        At stage 0, where all releases are 0, equal-size jobs are
+        interchangeable at every stage, so they are listed in id order. A job
         whose completion plus its remaining path cannot beat the incumbent is
         not placed. Each completion vector keeps the machine sequences of the
-        first plan that reached it.
+        first list schedule that reached it.
         """
         m = self.machines[stage_i]
         execs = [self.exec_int[j][stage_i] for j in range(self.n)]
         rempath_next = [self.rempath[j][stage_i + 1] for j in range(self.n)]
-        canonical_jobs = stage_i == 0
+        equal_pred_mask = self.equal_pred_mask if stage_i == 0 else [0] * self.n
         full_mask = (1 << self.n) - 1
         comps = [0] * self.n
-        seqs: list[list[int]] = [[]]
+        avail = [0] * m
+        seqs: list[list[int]] = [[] for _ in range(m)]
         out: dict[tuple[int, ...], tuple] = {}
 
-        def extend(machine_idx: int, avail: int, used: int, required: int) -> None:
+        def extend(used: int) -> None:
+            free = min(avail)
+            a = avail.index(free)
+            queue = seqs[a]
             for j in range(self.n):
                 bit = 1 << j
-                if used & bit:
-                    continue
-                if canonical_jobs and (used & self.equal_pred_mask[j]) != self.equal_pred_mask[j]:
+                if used & bit or (used & equal_pred_mask[j]) != equal_pred_mask[j]:
                     continue
                 self._tick()
                 r = releases[j]
-                start = r if r > avail else avail
-                c = start + execs[j]
+                c = (r if r > free else free) + execs[j]
                 if c + rempath_next[j] >= self.best:
                     continue
                 comps[j] = c
-                seqs[machine_idx].append(j)
                 new_used = used | bit
-                new_required = -1 if j == required else required
+                queue.append(j)
                 if new_used == full_mask:
                     key = tuple(comps)
                     if key not in out:
                         out[key] = tuple(map(tuple, seqs))
                 else:
-                    extend(machine_idx, c, new_used, new_required)
-                    if new_required == -1 and machine_idx + 1 < m:
-                        remaining = (~new_used) & full_mask
-                        next_required = (remaining & -remaining).bit_length() - 1
-                        seqs.append([])
-                        extend(machine_idx + 1, 0, new_used, next_required)
-                        seqs.pop()
-                seqs[machine_idx].pop()
-                comps[j] = 0
+                    avail[a] = c
+                    extend(new_used)
+                    avail[a] = free
+                queue.pop()
 
-        extend(0, 0, 0, 0)
+        extend(0)
         return out
-
-

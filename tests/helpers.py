@@ -51,13 +51,7 @@ def brute_force_optimal(instance: Instance) -> Fraction:
             return
         expanded.add((stage, tuple(releases)))
         for plan in plans[stage]:
-            completions = [0] * n
-            for _, order in plan.items():
-                tail = 0
-                for j in order:
-                    tail = max(tail, releases[j]) + execs[stage][j]
-                    completions[j] = tail
-            recurse(stage + 1, completions)
+            recurse(stage + 1, fifo_stage(releases, execs[stage], plan)[1])
 
     recurse(0, [0] * n)
     assert best is not None
@@ -97,6 +91,31 @@ def list_schedule(sizes: list[Fraction], m: int, s: Fraction):
         machine_of.append(alpha)
         avail[alpha] += size / s
     return machine_of, max(avail)
+
+
+def fifo_stage(releases, execs, plan):
+    """One stage served by `plan` ({machine: job ids in service order}, as
+    `all_stage_plans` yields): each job starts at max(release, its machine's
+    previous completion). Returns (starts, completions) per job."""
+    starts, completions = [None] * len(execs), [None] * len(execs)
+    for order in plan.values():
+        free = 0
+        for j in order:
+            starts[j] = max(releases[j], free)
+            free = completions[j] = starts[j] + execs[j]
+    return starts, completions
+
+
+def list_schedule_stage(releases, execs, m: int, order):
+    """One stage list-scheduled: each job of `order` in turn joins the machine
+    that frees up first (ties to the lowest index) and starts at max(release,
+    that machine's free time). Returns each job's completion."""
+    free = [0] * m
+    completions = [None] * len(execs)
+    for j in order:
+        a = free.index(min(free))
+        free[a] = completions[j] = max(releases[j], free[a]) + execs[j]
+    return completions
 
 
 def naive_replay(instance: Instance, queues) -> list:

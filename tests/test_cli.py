@@ -193,6 +193,13 @@ class TestOptimal:
         assert code == 2
         assert "unknown limit" in err
 
+    def test_repeated_limit_key(self, capsys, tmp_path):
+        path = write_instance(tmp_path, gen_appendix_example())
+        code, out, err = run_cli(capsys, ["optimal", "-i", path, "--limits", "node_budget=1,node_budget=2"])
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: limit node_budget given twice"
+
     @pytest.mark.parametrize("limits", ["time_budget=nan", "node_budget=-5", "max_jobs=0", "node_budget=1.5"])
     def test_rejected_limit_values(self, capsys, tmp_path, limits):
         path = write_instance(tmp_path, gen_appendix_example())
