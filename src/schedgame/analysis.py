@@ -408,7 +408,7 @@ def price_of_anarchy(instance: Instance, limits: SearchLimits | None = None) -> 
         ceiling = 3 - Fraction(1, max(s.machines for s in instance.stages))
     t_opt: Scalar | None = None
     try:
-        result = optimal_makespan(instance, limits)
+        result = optimal_makespan(instance, limits, greedy=trace)
         opt_status = result.status
         lower = max(path, bottleneck, result.lower_bound)
         if result.status == "exact":

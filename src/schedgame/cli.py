@@ -302,13 +302,13 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     instance = _read_instance(args.input)
     limits = _parse_limits(args.limits)
     if args.plan is not None:
-        trace = _replay_plan(instance, args.plan)
+        trace, greedy = _replay_plan(instance, args.plan), None
     else:
-        trace, _ = greedy_schedule(instance)
+        trace = greedy = greedy_schedule(instance)[0]
     opt = None
     if args.with_opt:
         try:
-            result = optimal_makespan(instance, limits)
+            result = optimal_makespan(instance, limits, greedy=greedy)
             if result.status == "exact":
                 opt = result.makespan
         except LimitsExceeded:

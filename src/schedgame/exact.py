@@ -7,8 +7,11 @@ only the makespan matters, and one machine with release dates finishes soonest
 that way (Jackson's rule). List schedules complete every job no later than any
 plan of their stage does (proof in `_PlanSearch._enumerate`), so no optimum is
 lost. Branch-and-bound pruning, machine-symmetry breaking, and dominance
-filtering on stage completion vectors cut the search. It either certifies the
-exact optimum or refuses; it never silently approximates.
+filtering on stage completion vectors cut the search. Its heuristic plan is
+the best of a few greedy passes (`greedy_schedule` with a priority), and the
+head-body-tail bound (`_PlanSearch._head_body_tail`) certifies that plan
+without search when the two meet. It either certifies the exact optimum or
+refuses; it never silently approximates.
 """
 
 from __future__ import annotations
@@ -102,46 +105,46 @@ def opt_lower_bounds(instance: Instance) -> tuple[Scalar, Scalar]:
     return path, bottleneck
 
 
-def _heuristic_plan(instance: Instance) -> tuple[ScheduleTrace, Queues]:
-    """Best of a few greedy passes (priority order, sizes descending/ascending).
+def _heuristic_plan(instance: Instance, greedy: ScheduleTrace | None = None) -> tuple[ScheduleTrace, Queues]:
+    """Best of a few greedy passes (instance order, sizes descending/ascending).
 
-    Queues are order-free: relabelling a reordered instance's greedy queues
-    back through `order` gives a plan that evaluates identically on the
-    original instance. The first column of the time grid orders the jobs by
-    size. Returns the best trace (all share one time grid) and its queues.
+    Every pass is `greedy_schedule` with a priority, on the instance's own
+    time grid, so its trace already names the original jobs. `greedy` is
+    `greedy_schedule(instance)`'s trace when the caller holds it; an order
+    equal to one already run is skipped. The first column of the time grid
+    orders the jobs by size. Returns the best trace and its queues.
     """
-    n = instance.n
     ticks = instance.time_grid[1]
-    best: tuple[ScheduleTrace, Queues] | None = None
-    orders = [
-        list(range(n)),
-        sorted(range(n), key=lambda j: (-ticks[j][0], j)),
-        sorted(range(n), key=lambda j: (ticks[j][0], j)),
-    ]
-    for order in orders:
-        jobs = tuple(Job(pos, instance.jobs[j].size) for pos, j in enumerate(order))
-        trace, _ = greedy_schedule(Instance(jobs, instance.stages))
-        if best is None or trace.makespan_ticks < best[0].makespan_ticks:
-            queues = tuple(
-                tuple(tuple(order[pos] for pos in queue) for queue in stage) for stage in trace_queues(trace)
-            )
-            best = (trace, queues)
-    assert best is not None
-    return best
+    identity = list(range(instance.n))
+    best = greedy if greedy is not None else greedy_schedule(instance)[0]
+    tried = [identity]
+    for order in (sorted(identity, key=lambda j: -ticks[j][0]), sorted(identity, key=lambda j: ticks[j][0])):
+        if order in tried:
+            continue
+        tried.append(order)
+        trace, _ = greedy_schedule(instance, order)
+        if trace.makespan_ticks < best.makespan_ticks:
+            best = trace
+    return best, trace_queues(best)
 
 
-def optimal_makespan(instance: Instance, limits: SearchLimits | None = None) -> OptResult:
+def optimal_makespan(
+    instance: Instance, limits: SearchLimits | None = None, *, greedy: ScheduleTrace | None = None
+) -> OptResult:
     """Exact minimum makespan over every machine assignment and queue order.
 
     Certifies immediately when a heuristic plan meets the analytic lower
     bound; otherwise refuses instances beyond `limits` (the machine cap only
-    for pipelines) and runs the full branch-and-bound search. The central plan
-    is not bound by arrival order, so queues may place a later-released job
-    first.
+    for pipelines), then certifies the plan without search when it meets the
+    head-body-tail bound (`_PlanSearch._head_body_tail`), and else runs the
+    full branch-and-bound search. The central plan is not bound by arrival
+    order, so queues may place a later-released job first. `greedy`, if
+    given, must be `greedy_schedule(instance)`'s trace: the heuristic reuses
+    it instead of running that pass again, and the result is the same.
     """
     limits = limits or DEFAULT_LIMITS
     n, k = instance.n, instance.k
-    ub, ub_queues = _heuristic_plan(instance)
+    ub, ub_queues = _heuristic_plan(instance, greedy)
     lower = max(opt_lower_bounds(instance))
     if ub.makespan <= lower:
         return OptResult(ub.makespan, queues_to_plan(ub_queues), "exact", ub.makespan, 0)
@@ -207,7 +210,12 @@ class _Archive:
 
 
 class _PlanSearch:
-    """Depth-first search over stage plans on the instance's integer time grid."""
+    """Depth-first search over stage plans on the instance's integer time grid.
+
+    Its target is the larger of the analytic bound and the head-body-tail
+    bound, in ticks: `run` skips the search when the heuristic plan meets it,
+    and the search stops at the first plan within it.
+    """
 
     def __init__(
         self,
@@ -229,7 +237,8 @@ class _PlanSearch:
         self.best = ub.makespan_ticks
         self.best_seqs = ub_queues
         self.analytic_lb = lower
-        self.target = math.ceil(lower * self.scale)
+        # no plan beats the target, so the first plan within it is optimal
+        self.target = max(math.ceil(lower * self.scale), self._head_body_tail())
         # equal-size jobs are interchangeable; canonicalize their stage-0 slots
         self.equal_pred_mask = [0] * self.n
         for j in range(self.n):
@@ -239,6 +248,35 @@ class _PlanSearch:
         self.archives = [_Archive() for _ in range(self.k - 1)]
         self.nodes = 0
         self.node_budget = limits.node_budget
+
+    def _head_body_tail(self) -> int:
+        """The machine-based head-body-tail lower bound on the makespan, in ticks.
+
+        Fix a stage i and any plan of makespan C. Job j's head is its
+        execution before stage i, its tail its execution after it. Say the
+        plan uses b of the stage's machines, 1 <= b <= min(m_i, n). A used
+        machine starts its first job no earlier than that job's head, then
+        runs at least its own load, and its last job still needs its tail
+        after that, so C >= head(first) + load + tail(last). Summed over the
+        b used machines, whose first jobs are b distinct jobs and so are
+        their last jobs:
+            b·C >= (the b smallest heads) + (stage total) + (the b smallest tails).
+        The plan's b is unknown, so C is at least the minimum over b of that
+        right-hand side divided by b; a makespan is a whole number of ticks,
+        so each quotient rounds up. The bound is the largest over the stages
+        (Santos, Hunsucker & Deal, EJOR 80, 1995).
+        """
+        bound = 0
+        for i, m in enumerate(self.machines):
+            heads = sorted(path[0] - path[i] for path in self.rempath)
+            tails = sorted(path[i + 1] for path in self.rempath)
+            stage_lb = min(
+                -(-(sum(heads[:b]) + self.stage_total[i] + sum(tails[:b])) // b)
+                for b in range(1, min(m, self.n) + 1)
+            )
+            if stage_lb > bound:
+                bound = stage_lb
+        return bound
 
     def run(self) -> OptResult:
         status = "exact"

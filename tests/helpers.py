@@ -424,6 +424,29 @@ def naive_opt_lower_bounds(instance: Instance):
     return path, total / rate
 
 
+def naive_head_body_tail(instance: Instance) -> Fraction:
+    """The head-body-tail lower bound in `Fraction`s, straight from its statement.
+
+    For each stage i: job j's head is its execution time (size over speed)
+    at the stages before i, its tail at the stages after i. With b busy
+    machines, 1 <= b <= min(m_i, n), the makespan is at least (the b smallest
+    heads + the stage's total execution time + the b smallest tails) / b; a
+    stage gives the minimum of that over b, and the bound is the largest stage.
+    """
+    times = [[job.size / spec.speed for spec in instance.stages] for job in instance.jobs]
+    bound = Fraction(0)
+    for i, spec in enumerate(instance.stages):
+        heads = sorted(sum(row[:i], Fraction(0)) for row in times)
+        tails = sorted(sum(row[i + 1 :], Fraction(0)) for row in times)
+        total = sum((row[i] for row in times), Fraction(0))
+        stage = min(
+            (sum(heads[:b], Fraction(0)) + total + sum(tails[:b], Fraction(0))) / b
+            for b in range(1, min(spec.machines, instance.n) + 1)
+        )
+        bound = max(bound, stage)
+    return bound
+
+
 times = st.fractions(min_value=0, max_value=20, max_denominator=97)
 
 

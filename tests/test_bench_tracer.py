@@ -62,11 +62,12 @@ def test_traced_ops_record_counts(spans, tmp_path):
         {**front, "greedy.greedy_schedule": 1, "model.trace_to_json": 1, "greedy.events_to_json": 1},
         # verify-bounds: 5 spans
         {**front, "greedy.greedy_schedule": 1, "analysis.check_multistage_chain": 1, "analysis.BoundReport.to_json": 1},
-        # poa: 9 spans, greedy once plus three heuristic passes
+        # poa: 7 spans, greedy once plus the solver's one heuristic pass whose order differs
+        # (sizes descending is the instance order here, so only sizes ascending runs)
         {
             **front,
             "analysis.price_of_anarchy": 1,
-            "greedy.greedy_schedule": 4,
+            "greedy.greedy_schedule": 2,
             "exact.optimal_makespan": 1,
             "analysis.PoAReport.to_json": 1,
         },

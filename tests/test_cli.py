@@ -497,8 +497,8 @@ class TestOneGridPerInstance:
             (["simulate"], 1),
             (["verify-bounds"], 1),
             (["spne"], 1),
-            # greedy's grid, then one per reordered instance of the solver's three heuristic passes
-            (["poa"], 4),
+            # greedy, the solver's heuristic passes and its bounds all read the instance's one grid
+            (["poa"], 1),
         ],
         ids=["simulate", "verify-bounds", "spne", "poa"],
     )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from schedgame import (
     GreedyEvent,
     Instance,
+    Job,
     ScheduleTrace,
     evaluate_schedule,
     gen_random,
@@ -16,7 +17,7 @@ from schedgame import (
     validate_trace,
 )
 from schedgame.greedy import events_to_json
-from schedgame.model import queues_to_plan, trace_queues
+from schedgame.model import queues_to_plan, trace_to_json, trace_queues
 from helpers import list_schedule, naive_events_json, naive_greedy, naive_replay
 
 
@@ -79,6 +80,50 @@ class TestReleaseOrder:
         trace, _ = greedy_schedule(inst)
         for stage in range(inst.k):
             assert sorted(release_order(trace, stage)) == list(range(inst.n))
+
+
+class TestPriority:
+    """`greedy_schedule(instance, priority)` is greedy on the instance reordered by `priority`, relabelled."""
+
+    @given(st.integers(0, 2**32), st.integers(1, 7), st.integers(1, 3), st.data())
+    def test_equals_the_reordered_instance(self, seed, n, k, data):
+        # small sizes and few machines, so equal releases and load ties are common
+        inst = gen_random(n, k, (1, 3), size_range=(1, 3, 1), seed=seed)
+        perm = data.draw(st.permutations(range(n)))
+        trace, log = greedy_schedule(inst, perm)
+        reordered = Instance(tuple(Job(pos, inst.jobs[j].size) for pos, j in enumerate(perm)), inst.stages)
+        other, other_log = greedy_schedule(reordered)
+        assert trace.scale == other.scale
+        assert [trace.grid[j] for j in perm] == list(other.grid)
+        assert list(log) == [
+            GreedyEvent(e.time, perm[e.job], e.stage, e.loads, e.machine) for e in other_log
+        ]
+        assert json.loads(events_to_json(log)) == [
+            {**row, "job": perm[row["job"]]} for row in json.loads(events_to_json(other_log))
+        ]
+
+    @given(st.integers(0, 2**32), st.integers(1, 7), st.integers(1, 3))
+    def test_identity_is_the_default(self, seed, n, k):
+        inst = gen_random(n, k, (1, 3), size_range=(1, 3, 1), seed=seed)
+        trace, log = greedy_schedule(inst)
+        same, same_log = greedy_schedule(inst, range(n))
+        assert same == trace
+        assert trace_to_json(same) == trace_to_json(trace)
+        assert events_to_json(same_log) == events_to_json(log)
+        assert list(same_log) == list(log)
+
+    def test_ties_go_by_priority_rank(self):
+        # two equal jobs on two machines reach the one-machine stage together
+        inst = Instance.from_sizes([1, 1], [(2, 1), (1, 1)])
+        trace, log = greedy_schedule(inst, [1, 0])
+        assert release_order(trace, 1, [1, 0]) == [1, 0]
+        assert [(e.stage, e.job) for e in log] == [(0, 1), (0, 0), (1, 1), (1, 0)]
+        assert trace.grid[1][1][2] < trace.grid[0][1][2]
+
+    @pytest.mark.parametrize("priority", [[0, 0, 1], [0, 1], [0, 1, 3], [0, 1, 2, 3]])
+    def test_rejects_a_non_permutation(self, priority):
+        with pytest.raises(ValueError, match="not a permutation"):
+            greedy_schedule(Instance.from_sizes([1, 2, 3], [(2, 1)]), priority)
 
 
 class TestGreedyProperties:
