@@ -392,14 +392,18 @@ class PoAReport:
         return data
 
 
-def price_of_anarchy(instance: Instance, limits: SearchLimits | None = None) -> PoAReport:
+def price_of_anarchy(
+    instance: Instance, limits: SearchLimits | None = None, *, greedy: ScheduleTrace | None = None
+) -> PoAReport:
     """Greedy-play makespan over the exact optimum (or its certified bound).
 
     The ceiling is 2 - 1/m for one stage and 3 - 1/m_max for pipelines; a
-    certified ratio above it indicates a bug, not a finding.
+    certified ratio above it indicates a bug, not a finding. `greedy`, if
+    given, must be `greedy_schedule(instance)`'s trace, as for
+    `optimal_makespan`; it is used instead of running greedy again.
     """
     limits = limits or DEFAULT_LIMITS
-    trace, _ = greedy_schedule(instance)
+    trace = greedy if greedy is not None else greedy_schedule(instance)[0]
     t_equ = trace.makespan
     path, bottleneck = opt_lower_bounds(instance)
     if instance.k == 1:

@@ -407,7 +407,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             trace, _ = greedy_schedule(instance)
             t_equ = format_scalar(trace.makespan)
             if "poa" in ops:
-                report = price_of_anarchy(instance, limits)
+                report = price_of_anarchy(instance, limits, greedy=trace)
                 opt_status = report.opt_status
                 t_opt = format_scalar(report.t_opt) if report.t_opt is not None else format_scalar(
                     report.opt_lower_bound

@@ -117,10 +117,15 @@ class EquilibriumResult:
 # stage left: under machine a its final completion is at least
 # max(release, avail[a]) + rempath[j][stage], and under DEFER at least the same
 # with min(avail), since it still takes a machine of this stage later and
-# availabilities only grow. `value` skips an action whose bound is already
-# >= the decider's best so far: the action could only tie or lose, and ties go
-# to the earlier action, so the value, the chosen action and the tie rule are
-# those of the full expansion; only the skipped subgames go unexpanded.
+# availabilities only grow. `value` tries the actions in (bound, rank) order,
+# rank being the position in `actions` (machines by index, then DEFER), and
+# stops at the first whose (bound, rank) exceeds (best value, its rank): every
+# action from there on has (value, rank) >= (bound, rank) > the best's, so it
+# could only lose, or tie with a later rank, and ties go to the earlier rank.
+# The choice is therefore the least (value, rank) over all actions, that of
+# the index-order full expansion, and each memo entry is that expansion's;
+# only the skipped subgames go unexpanded. A cheap action first usually sets a
+# best that cuts off the rest at once.
 _State = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]
 _Key = tuple[tuple[tuple[int, int] | None, ...], tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]
 
@@ -220,9 +225,10 @@ class _GameSolver:
         """Final completion ticks under optimal play from `state` on.
 
         The decider minimizes its own final completion; ties prefer machine
-        actions in index order, defer last. An action whose `bound` is at
-        least the best completion found so far is skipped unexpanded: it could
-        at best tie, and a tie keeps the earlier action (see `_State`).
+        actions in index order, defer last. Actions are tried by (`bound`,
+        rank), and the first whose pair exceeds (best completion so far, its
+        rank) ends the loop: it and every later action could at best tie with
+        a later rank, and a tie keeps the earlier one (see `_State`).
         """
         machines, jobs, batch, defers = state
         if not batch:
@@ -236,17 +242,18 @@ class _GameSolver:
         if self.nodes > self.node_budget:
             raise LimitsExceeded(f"game tree exceeded the node budget of {self.node_budget}")
         j = batch[0]
+        actions = self.actions(state)
         best_vec: tuple[int, ...] | None = None
-        best_action: Action = 0
-        for action in self.actions(state):
-            if best_vec is not None and best_vec[j] <= self.bound(state, action):
-                continue
-            vec = self.value(self.apply(state, action))
-            if best_vec is None or vec[j] < best_vec[j]:
+        best_rank = 0
+        for bound, rank in sorted([(self.bound(state, action), rank) for rank, action in enumerate(actions)]):
+            if best_vec is not None and (bound, rank) > (best_vec[j], best_rank):
+                break
+            vec = self.value(self.apply(state, actions[rank]))
+            if best_vec is None or (vec[j], rank) < (best_vec[j], best_rank):
                 best_vec = vec
-                best_action = action
+                best_rank = rank
         assert best_vec is not None
-        self.memo[key] = (best_vec, best_action)
+        self.memo[key] = (best_vec, actions[best_rank])
         return best_vec
 
     def chosen_action(self, state: _State) -> Action:

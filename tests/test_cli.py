@@ -10,7 +10,8 @@ import pytest
 
 import schedgame
 from schedgame import Instance, gen_appendix_example, gen_random
-from schedgame import cli
+from schedgame import analysis, cli, exact
+from schedgame.greedy import greedy_schedule
 from schedgame.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -392,6 +393,21 @@ class TestSweep:
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv)
         assert first == second
+
+    def test_poa_row_runs_greedy_once_outside_the_solver(self, capsys, monkeypatch):
+        # the sweep's own trace, then the solver heuristic's two size-order passes
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return greedy_schedule(*args, **kwargs)
+
+        for module in (cli, analysis, exact):
+            monkeypatch.setattr(module, "greedy_schedule", counted)
+        argv = ["sweep", "--family", "random", "--param", "seed=0", "--param", "n=4", "--param", "k=2", "--ops", "poa"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and out.splitlines()[1].endswith(",ok")
+        assert len(calls) == 3
 
     def test_random_sweep_no_ceiling_violations(self, capsys):
         import csv as csv_mod

@@ -186,11 +186,22 @@ def test_large_game_within_small_node_budget():
 
 
 def test_six_job_game_within_a_budget_the_full_expansion_exceeds():
-    # machines 3/3/1; expanding every action takes 34,250 subgames, the
-    # bound-skipping solver 7,563. The values are the full expansion's.
+    # machines 3/3/1; expanding every action takes 34,250 subgames, skipping
+    # by bound in index order 7,563, in bound order 1,000. The values are the
+    # full expansion's.
     result = spne_solve(gen_random(6, 3, seed=1), limits=SearchLimits(node_budget=10_000))
     assert result.final_completions == (21, 7, 33, 11, F(133, 3), F(163, 3))
     assert result.deltas == (-F(1, 3), 0, -F(1, 3), -F(4, 3), -F(1, 3), -F(1, 3))
+    assert not result.greedy_is_spne_outcome
+
+
+def test_eight_job_game_within_a_budget_the_index_order_expansion_exceeds():
+    # machines 3/3/2; skipping by bound in index order takes 234,335
+    # subgames, in bound order 736. The values are the index-order solver's
+    # at the default budget.
+    result = spne_solve(gen_random(8, 3, (2, 3), seed=3), limits=SearchLimits(node_budget=1_000))
+    assert result.final_completions == (F(4, 3), F(20, 3), F(26, 3), F(20, 3), F(23, 6), F(21, 2), F(25, 3), 10)
+    assert result.deltas == (0, 0, -F(1, 3), -F(1, 2), -F(19, 6), -F(1, 2), -F(1, 2), -F(1, 6))
     assert not result.greedy_is_spne_outcome
 
 
@@ -200,9 +211,11 @@ class TestActionBound:
     @pytest.mark.parametrize("allow_defer", [True, False])
     @given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 10**6))
     # a defer bound read off the latest machine, and a skip one tick early,
-    # both go wrong on these
+    # both go wrong on these; stopping at an equal bound whatever the rank
+    # goes wrong on the last
     @example(n=3, k=1, seed=0)
     @example(n=2, k=2, seed=16)
+    @example(n=3, k=2, seed=229)
     def test_bound_holds_and_skipping_keeps_the_choice(self, allow_defer, n, k, seed):
         inst = gen_random(n, k, seed=seed)
         solver = equilibrium._GameSolver(inst, ActionModel(allow_defer=allow_defer))
@@ -223,9 +236,9 @@ class TestActionBound:
 
 # Nodes each call expands: (spne_solve defer, no-defer, check_greedy_spne defer, no-defer)
 EFFORT = [
-    ("appendix", appendix_instance(), (15, 9, 14, 8)),
-    ("random-5-3-seed5", gen_random(5, 3, seed=5), (3978, 2639, 5618, 2801)),
-    ("random-4-2-seed1", gen_random(4, 2, seed=1), (46, 46, 123, 79)),
+    ("appendix", appendix_instance(), (13, 7, 14, 8)),
+    ("random-5-3-seed5", gen_random(5, 3, seed=5), (679, 384, 890, 509)),
+    ("random-4-2-seed1", gen_random(4, 2, seed=1), (8, 8, 48, 40)),
 ]
 EFFORT_CALLS = [(spne_solve, True), (spne_solve, False), (check_greedy_spne, True), (check_greedy_spne, False)]
 
